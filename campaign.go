@@ -201,7 +201,7 @@ func (o Options) canonical() Options {
 }
 
 // PointSpec is the JSON wire form of a Point, shared by the sdserve
-// /v1/campaign and /v1/simulate endpoints and cmd/sdexp's -points mode.
+// /v1/campaigns and /v1/simulate endpoints and cmd/sdexp's -points mode.
 // Scale and Seed default to 1 when omitted; a nil MalleableFraction
 // keeps the generated malleable mix; Derivations is the ordered variant
 // chain ({"op": "tag_nodes", "fraction": 0.5, "feature": "bigmem"},
@@ -278,7 +278,7 @@ func (s PointSpec) Point() Point {
 // PointsFromSpecs runs the wire-level checks (Validate) on every spec
 // and materialises the campaign points, labelling errors with the
 // offending index. It is the one conversion path shared by the
-// /v1/campaign handler and cmd/sdexp -points.
+// /v1/campaigns handler and cmd/sdexp -points.
 func PointsFromSpecs(specs []PointSpec) ([]Point, error) {
 	points := make([]Point, len(specs))
 	for i, s := range specs {

@@ -28,7 +28,7 @@
 // -points file.json bypasses the experiment index and streams an
 // arbitrary campaign — a JSON array of {workload, scale, seed,
 // malleable_fraction, derivations, options} points, the same wire
-// format as the sdserve /v1/campaign endpoint — as NDJSON on stdout,
+// format as a sdserve /v1/campaigns create body — as NDJSON on stdout,
 // one line per point in input order, emitted incrementally as points
 // complete. -progress adds point-level progress on stderr; Ctrl-C
 // aborts the campaign mid-simulation.
@@ -61,11 +61,12 @@
 //     that; conflicting entries (evidence of broken determinism)
 //     resolve deterministically and are reported on stderr.
 //   - -server URL sends the campaign to a running sdserve instance
-//     (worker or coordinator) instead of simulating in-process, with
-//     the same input-ordered, byte-identical NDJSON output. Combined
-//     with -cache-dir, per-job report frames are negotiated over the
-//     wire so the proxied results — reports included — are spilled
-//     locally and warm later in-process runs.
+//     (worker or coordinator) as a /v1/campaigns resource instead of
+//     simulating in-process, with the same input-ordered,
+//     byte-identical NDJSON output. Combined with -cache-dir, the
+//     campaign is created with per-job report frames so the proxied
+//     results — reports included — are spilled locally and warm later
+//     in-process runs.
 //
 // Two profiling surfaces coexist, one offline and one live:
 //
@@ -316,8 +317,8 @@ func emitCacheStatsJSON(w io.Writer) {
 	fmt.Fprintf(w, "{\"cache_hits\":%d,\"cache_misses\":%d}\n", uint64(hits), uint64(misses))
 }
 
-// runPoints streams an arbitrary campaign — the same format the
-// sdserve /v1/campaign endpoint accepts — writing one NDJSON line per
+// runPoints streams an arbitrary campaign — the points a sdserve
+// /v1/campaigns create body carries — writing one NDJSON line per
 // point to stdout. Results are printed in input order but emitted
 // incrementally: each line appears as soon as its point and every
 // earlier one has completed, so the output is byte-identical across
@@ -329,8 +330,8 @@ func emitCacheStatsJSON(w io.Writer) {
 // shard outputs interleave by index into exactly the full run's bytes.
 // With serverURL, the campaign executes on a remote sdserve instance
 // (worker or coordinator) and the stream is re-ordered locally — same
-// bytes, remote cycles. With warm, the remote stream additionally
-// negotiates per-job report frames and primes the local engine cache
+// bytes, remote cycles. With warm, the remote campaign additionally
+// carries per-job report frames and primes the local engine cache
 // with every proxied result, so a -cache-dir spill after a remote run
 // warms later local ones.
 func (r *runner) runPoints(path, shardSpec, serverURL string, warm bool) error {

@@ -8,11 +8,11 @@
 //
 //	POST /v1/simulate  {"workload":"wl1","scale":0.1,"seed":1,
 //	                    "options":{"policy":"sd","max_slowdown":10}}
-//	POST /v1/sweep     {"workloads":["wl1","wl2"],"scale":0.1,"seed":1}
 //	POST /v1/campaigns {"points":[{"workload":"wl1","scale":0.1,
 //	                    "options":{"policy":"sd"}}, ...]} — creates a
 //	                   campaign resource (201 + Location) that runs
-//	                   detached from the connection
+//	                   detached from the connection; "reports":true and
+//	                   "trace":true add report and trace frames
 //	GET  /v1/campaigns/{id}?from=<seq>  attach to the campaign's frame
 //	                   stream (SSE or NDJSON), resumable from any seq
 //	GET  /v1/campaigns/{id}/status      compact progress
@@ -30,9 +30,6 @@
 //	                   carries the same summary the local Engine
 //	                   helper returns, byte for byte
 //	DELETE /v1/experiments/{id}         cancel
-//	POST /v1/campaign  deprecated byte-compatible alias: one-shot
-//	                   streaming campaign tied to the connection;
-//	                   ?reports=1 adds per-job report frames
 //	POST /v1/workers/register    worker announcement / heartbeat
 //	POST /v1/workers/deregister  graceful worker departure
 //	GET  /healthz
@@ -47,21 +44,23 @@
 // All requests share one engine: identical in-flight requests coalesce
 // into a single simulation, repeated points are served from the LRU
 // result cache, and -max-inflight bounds concurrently simulating
-// requests. Disconnecting from a streaming campaign cancels it
-// mid-simulation and frees its slot. SIGINT/SIGTERM finish open
-// streams with a terminal shutdown event, then drain in-flight
-// requests before exit. -cache-dir persists the result cache across
-// restarts: loaded on start, spilled on shutdown.
+// requests and campaigns. DELETE on a campaign cancels it
+// mid-simulation and frees its slot. Memory holds every running
+// campaign and a fixed number of finished ones; with -journal-dir an
+// older finished campaign is re-read from its journal when asked for.
+// SIGINT/SIGTERM end open streams with a shutdown frame, then drain
+// in-flight requests before exit. -cache-dir persists the result cache
+// across restarts: loaded on start, spilled on shutdown.
 //
 // # Elastic coordinator fleets
 //
 // -peers http://w1:8080,http://w2:8080 (or -coordinator with no static
 // peers at all) turns the instance into a campaign coordinator:
-// /v1/campaign requests are planned into -shards-per-worker
-// deterministic shards per fleet member, handed out work-stealing
-// style to the worker fleet over the same streaming wire form, and
-// re-merged byte-identically to a single-process run. The fleet is
-// elastic three ways:
+// campaigns are planned into -shards-per-worker deterministic shards
+// per fleet member, each created as a /v1/campaigns resource (ID
+// <campaign ID>.<suffix>) on a worker taken work-stealing style from
+// the fleet, and re-merged byte-identically to a single-process run.
+// The fleet is elastic three ways:
 //
 //   - A failed worker requeues its unresolved points and is
 //     health-probed (/healthz, exponential backoff) back into rotation
@@ -74,8 +73,7 @@
 //     from its workers and spills every proxied result on shutdown, so
 //     the spill warms later local sdexp runs (fig4-9 analyses too).
 //
-// /v1/simulate and /v1/sweep keep running on the local engine;
-// /healthz reports per-peer fleet state (alive|dead|probing,
+// /v1/simulate keeps running on the local engine; /healthz reports per-peer fleet state (alive|dead|probing,
 // consecutive failures, last error, remaining lease).
 package main
 
@@ -286,10 +284,10 @@ func main() {
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(os.Stderr, "sdserve: shutting down, draining in-flight requests")
-	// Finish open /v1/campaign streams with a terminal shutdown event
-	// first, so Shutdown below drains instead of holding them open (or
-	// cutting them) for the whole grace period. BeginShutdown also stops
-	// the coordinator's health prober.
+	// End open campaign streams with a shutdown frame first, so Shutdown
+	// below drains instead of holding them open (or cutting them) for the
+	// whole grace period. BeginShutdown also stops the coordinator's
+	// health prober.
 	api.BeginShutdown()
 	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()

@@ -325,7 +325,7 @@ func AblateNodeFeatures(name string, scale float64, seed uint64, fracs []float64
 // the constraint-filtering behaviour of Section 3.2.4. Each variant is
 // a plain campaign point whose derivation chain tags the nodes and
 // constrains the jobs, so the whole heterogeneous sweep is expressible
-// over /v1/campaign and shares one generated base workload.
+// over /v1/campaigns and shares one generated base workload.
 func (e *Engine) AblateNodeFeatures(ctx context.Context, name string, scale float64, seed uint64, fracs []float64) ([]AblationRow, error) {
 	return e.ablateExperiment(ctx, "ablate_node_features", name, scale, seed, "fractions", fracs)
 }

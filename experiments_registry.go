@@ -2,6 +2,7 @@ package sdpolicy
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"sdpolicy/internal/reducer"
@@ -109,6 +110,9 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Title:  "Figures 1-3: makespan/response/slowdown vs MAX_SLOWDOWN",
 		Params: []reducer.ParamSpec{workloadsParam(), scaleParam(), seedParam()},
 		New: func(p reducer.Params) (ExperimentInstance, error) {
+			if len(p.Strings("workloads")) == 0 {
+				return nil, errors.New("missing workloads")
+			}
 			return sweepInstance(p.Strings("workloads"), p.Float("scale"), p.Uint("seed")), nil
 		},
 	})

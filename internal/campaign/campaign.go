@@ -309,6 +309,16 @@ func (r *Runner[K, R]) resolve(ctx context.Context, k K) (R, error) {
 			return v, nil
 		}
 		r.mu.Lock()
+		// Check the cache again under mu: an execution publishes its
+		// result before leaving inflight, so a key that finished between
+		// the lookup above and this lock is cached now, and running it
+		// again would simulate the point twice.
+		if v, ok := r.cache.Get(k); ok {
+			r.mu.Unlock()
+			r.hits.Add(1)
+			mCacheHits.Inc()
+			return v, nil
+		}
 		if c, ok := r.inflight[k]; ok {
 			r.mu.Unlock()
 			select {

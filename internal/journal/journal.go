@@ -48,6 +48,9 @@ const (
 	KindDone      = "done"
 	KindError     = "error"
 	KindCancelled = "cancelled"
+	// KindTrace is a campaign's optional trace summary, journaled just
+	// before its terminal record.
+	KindTrace = "trace"
 )
 
 // TerminalKind reports whether a record kind ends its campaign. A

@@ -15,82 +15,115 @@ import (
 	"sdpolicy"
 )
 
-// campaignLine is one NDJSON line of a /v1/campaign stream: a result
-// line carries Index/Point/Result, a negotiated report line carries
-// ReportFor/Report, the single terminal line carries Done or Shutdown
-// or Error.
-type campaignLine struct {
-	Index     *int             `json:"index"`
-	Point     *sdpolicy.Point  `json:"point"`
-	Result    *sdpolicy.Result `json:"result"`
-	ReportFor *int             `json:"report_for"`
-	Report    json.RawMessage  `json:"report"`
-	Done      bool             `json:"done"`
-	Points    int              `json:"points"`
-	Shutdown  bool             `json:"shutdown"`
-	Error     string           `json:"error"`
+// testFrame decodes any campaign stream frame, including the fields the
+// clients in client.go never read: the echoed point and done count, and
+// the trace frame's payload.
+type testFrame struct {
+	streamFrame
+	Point      *sdpolicy.Point `json:"point"`
+	Points     int             `json:"points"`
+	Trace      bool            `json:"trace"`
+	CampaignID string          `json:"campaign_id"`
+	Shards     []ShardSpan     `json:"shards"`
+	Peers      []PeerTrace     `json:"peers"`
 }
 
-func decodeLines(t *testing.T, r *bufio.Scanner) []campaignLine {
+func (f testFrame) done() bool { return f.Done != nil && *f.Done }
+
+func decodeFrames(t *testing.T, lines []string) []testFrame {
 	t.Helper()
-	var lines []campaignLine
-	for r.Scan() {
-		var l campaignLine
-		if err := json.Unmarshal(r.Bytes(), &l); err != nil {
-			t.Fatalf("bad stream line %q: %v", r.Text(), err)
+	frames := make([]testFrame, len(lines))
+	for i, l := range lines {
+		if err := json.Unmarshal([]byte(l), &frames[i]); err != nil {
+			t.Fatalf("bad stream frame %q: %v", l, err)
 		}
-		lines = append(lines, l)
 	}
-	if err := r.Err(); err != nil {
+	return frames
+}
+
+// campaignFrames creates a campaign from body (under id, when given)
+// and returns its whole stream, attached from cursor 0.
+func campaignFrames(t *testing.T, base, id, body string) []testFrame {
+	t.Helper()
+	return decodeFrames(t, attachLines(t, base, createCampaign(t, base, id, body), 0))
+}
+
+// slowPointsBody builds a campaign of n distinct wl1 points at the
+// given scale (0.25 takes tens of ms, 0.5 a few hundred), seeds from
+// first on: distinct seeds defeat in-flight coalescing and the cache,
+// so every point is a fresh simulation.
+func slowPointsBody(n, first int, scale float64) string {
+	specs := make([]string, n)
+	for i := range specs {
+		specs[i] = fmt.Sprintf(`{"workload":"wl1","scale":%g,"seed":%d,"options":{"policy":"sd","max_slowdown":10}}`, scale, first+i)
+	}
+	return `{"points":[` + strings.Join(specs, ",") + `]}`
+}
+
+// deleteCampaign cancels a campaign resource, returning the status.
+func deleteCampaign(t *testing.T, base, id string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, base+"/v1/campaigns/"+id, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return lines
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func TestCampaignEndpointNDJSON(t *testing.T) {
 	srv := testServer(t)
-	body := `{"points":[
+	id := createCampaign(t, srv.URL, "", `{"points":[
 		{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"static"}},
 		{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"sd","max_slowdown":10}},
 		{"workload":"wl1","scale":0.1,"seed":2,"malleable_fraction":0.5,"options":{"policy":"sd"}}
-	]}`
-	resp := postJSON(t, srv.URL+"/v1/campaign", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	]}`)
+	resp, err := http.Get(srv.URL + "/v1/campaigns/" + id)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("content type %q", ct)
 	}
-	lines := decodeLines(t, bufio.NewScanner(resp.Body))
-	if len(lines) != 4 {
-		t.Fatalf("%d lines, want 3 results + 1 terminal", len(lines))
+	var lines []string
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		lines = append(lines, sc.Text())
+	}
+	frames := decodeFrames(t, lines)
+	if len(frames) != 4 {
+		t.Fatalf("%d frames, want 3 results + 1 terminal", len(frames))
 	}
 	seen := map[int]bool{}
-	for _, l := range lines[:3] {
-		if l.Index == nil || l.Result == nil || l.Point == nil {
-			t.Fatalf("malformed result line: %+v", l)
+	for _, f := range frames[:3] {
+		if f.Index == nil || f.Result == nil || f.Point == nil {
+			t.Fatalf("malformed result frame: %+v", f)
 		}
-		if seen[*l.Index] {
-			t.Fatalf("index %d streamed twice", *l.Index)
+		if seen[*f.Index] {
+			t.Fatalf("index %d streamed twice", *f.Index)
 		}
-		seen[*l.Index] = true
-		if l.Result.Jobs == 0 || l.Result.Makespan == 0 {
-			t.Fatalf("implausible result for index %d: %+v", *l.Index, l.Result)
+		seen[*f.Index] = true
+		if f.Result.Jobs == 0 || f.Result.Makespan == 0 {
+			t.Fatalf("implausible result for index %d: %+v", *f.Index, f.Result)
 		}
 	}
 	if len(seen) != 3 {
 		t.Fatalf("indices covered: %v", seen)
 	}
-	last := lines[3]
-	if !last.Done || last.Points != 3 || last.Index != nil {
-		t.Fatalf("terminal line: %+v", last)
+	if last := frames[3]; !last.done() || last.Points != 3 || last.Index != nil || last.Seq != 4 {
+		t.Fatalf("terminal frame: %+v", last)
 	}
 }
 
 func TestCampaignEndpointSSE(t *testing.T) {
 	srv := testServer(t)
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/campaign", strings.NewReader(
-		`{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"sd","max_slowdown":10}}]}`))
+	id := createCampaign(t, srv.URL, "",
+		`{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"sd","max_slowdown":10}}]}`)
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/campaigns/"+id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +151,7 @@ func TestCampaignEndpointSSE(t *testing.T) {
 		t.Fatalf("terminal event:\n%s", events[1])
 	}
 	var res sdpolicy.PointResult
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.SplitN(events[0], "\ndata: ", 2)[1], "data: ")), &res); err != nil {
+	if err := json.Unmarshal([]byte(strings.SplitN(events[0], "\ndata: ", 2)[1]), &res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Result == nil || res.Result.MalleableStarts == 0 {
@@ -128,16 +161,17 @@ func TestCampaignEndpointSSE(t *testing.T) {
 
 func TestCampaignStreamsErrorAsTerminalEvent(t *testing.T) {
 	srv := testServer(t)
-	resp := postJSON(t, srv.URL+"/v1/campaign",
-		`{"points":[{"workload":"wl-nope","options":{}}]}`)
-	// The stream starts before the point fails, so the HTTP status is
-	// 200 and the error arrives in-band.
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	// The point passes create-time validation and fails when it runs,
+	// so the error arrives in-band as the terminal frame.
+	frames := campaignFrames(t, srv.URL, "bad-wl", `{"points":[{"workload":"wl-nope","options":{}}]}`)
+	if len(frames) != 1 || frames[0].Error == nil || frames[0].Seq != 1 || frames[0].done() {
+		t.Fatalf("terminal error frame missing: %+v", frames)
 	}
-	lines := decodeLines(t, bufio.NewScanner(resp.Body))
-	if len(lines) != 1 || lines[0].Error == "" || lines[0].Done {
-		t.Fatalf("terminal error line missing: %+v", lines)
+	if e := frames[0].Error; e.Code != "bad_request" || e.Message == "" || e.CampaignID != "bad-wl" {
+		t.Fatalf("error frame detail %+v", e)
+	}
+	if st := campaignStatus(t, srv.URL, "bad-wl"); st.State != campaignFailed || st.Error == "" {
+		t.Fatalf("status %+v, want failed", st)
 	}
 }
 
@@ -147,72 +181,70 @@ func TestCampaignBadRequests(t *testing.T) {
 		"no points":     `{"points":[]}`,
 		"no workload":   `{"points":[{"options":{}}]}`,
 		"bad fraction":  `{"points":[{"workload":"wl1","malleable_fraction":2,"options":{}}]}`,
-		"bad format":    `{"points":[{"workload":"wl1","options":{}}],"format":"xml"}`,
 		"unknown field": `{"points":[{"workload":"wl1","options":{}}],"bogus":1}`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			resp := postJSON(t, srv.URL+"/v1/campaign", body)
+			resp := postJSON(t, srv.URL+"/v1/campaigns", body)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400", resp.StatusCode)
 			}
 		})
 	}
+	// The stream encoding is chosen per attach, so an unknown one is the
+	// attach's 400.
+	t.Run("bad format", func(t *testing.T) {
+		id := createCampaign(t, srv.URL, "", `{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{}}]}`)
+		resp, err := http.Get(srv.URL + "/v1/campaigns/" + id + "?format=xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
+		}
+	})
 }
 
-// TestCampaignClientDisconnectCancelsInFlight is the acceptance test
-// for prompt mid-simulation cancellation over HTTP: a client that
-// reads the first streamed result and disconnects must abort the
-// campaign — including the point simulating at that moment — and free
-// the request's slot in a small fraction of the campaign's remaining
-// runtime.
-func TestCampaignClientDisconnectCancelsInFlight(t *testing.T) {
+// TestCampaignCancelAbortsInFlight is the acceptance test for prompt
+// mid-simulation cancellation over HTTP: a DELETE after the first
+// streamed result must abort the campaign — including the point
+// simulating at that moment — and free its slot in a small fraction of
+// the campaign's remaining runtime.
+func TestCampaignCancelAbortsInFlight(t *testing.T) {
 	const points = 12
 	engine := sdpolicy.NewEngine(1, 0) // sequential: ~points × point-runtime total
 	s := New(engine, 2)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	specs := make([]string, points)
-	for i := range specs {
-		// Distinct seeds defeat the in-flight coalescing and the cache:
-		// every point is a fresh multi-hundred-millisecond simulation.
-		specs[i] = fmt.Sprintf(`{"workload":"wl1","scale":0.25,"seed":%d,"options":{"policy":"sd","max_slowdown":10}}`, i+1)
-	}
-	body := `{"points":[` + strings.Join(specs, ",") + `]}`
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/campaign", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	id := createCampaign(t, srv.URL, "", slowPointsBody(points, 1, 0.25))
+	resp, err := http.Get(srv.URL + "/v1/campaigns/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-
 	// Streaming, not batching: the first result arrives while most of
 	// the campaign still hasn't simulated.
 	sc := bufio.NewScanner(resp.Body)
 	if !sc.Scan() {
 		t.Fatalf("no first result: %v", sc.Err())
 	}
-	var first campaignLine
-	if err := json.Unmarshal(sc.Bytes(), &first); err != nil || first.Index == nil {
-		t.Fatalf("first line %q: %v", sc.Text(), err)
+	if f := decodeFrames(t, []string{sc.Text()})[0]; f.Index == nil {
+		t.Fatalf("first frame %q is not a result", sc.Text())
 	}
 	if s.campaigns.Load() != 1 || len(s.slots) != 1 {
 		t.Fatalf("mid-stream state: campaigns=%d slots=%d", s.campaigns.Load(), len(s.slots))
 	}
 
-	cancel() // client disconnects mid-campaign, mid-simulation
+	if code := deleteCampaign(t, srv.URL, id); code != http.StatusAccepted {
+		t.Fatalf("DELETE: status %d", code)
+	}
 	start := time.Now()
 	deadline := time.After(10 * time.Second)
 	for s.campaigns.Load() != 0 || len(s.slots) != 0 {
 		select {
 		case <-deadline:
-			t.Fatalf("slot not released %v after disconnect: campaigns=%d slots=%d",
+			t.Fatalf("slot not released %v after DELETE: campaigns=%d slots=%d",
 				time.Since(start), s.campaigns.Load(), len(s.slots))
 		case <-time.After(5 * time.Millisecond):
 		}
@@ -221,12 +253,13 @@ func TestCampaignClientDisconnectCancelsInFlight(t *testing.T) {
 	// worker, at most the finished first point plus the point in flight
 	// (and a scheduling-race straggler) may have simulated.
 	if _, misses := engine.CacheStats(); misses >= points/2 {
-		t.Fatalf("%d of %d points simulated despite disconnect after the first result", misses, points)
+		t.Fatalf("%d of %d points simulated despite DELETE after the first result", misses, points)
 	}
+	waitCampaignState(t, srv.URL, id, campaignCancelled)
 }
 
-// TestBeginShutdownEndsStreamWithTerminalEvent: an open campaign
-// stream must be completed with an explicit shutdown event — not a cut
+// TestBeginShutdownEndsStreamWithTerminalEvent: an open attach stream
+// must be completed with an explicit shutdown frame — not a cut
 // connection — when the server begins shutdown.
 func TestBeginShutdownEndsStreamWithTerminalEvent(t *testing.T) {
 	engine := sdpolicy.NewEngine(1, 0)
@@ -234,23 +267,28 @@ func TestBeginShutdownEndsStreamWithTerminalEvent(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	specs := make([]string, 8)
-	for i := range specs {
-		specs[i] = fmt.Sprintf(`{"workload":"wl1","scale":0.25,"seed":%d,"options":{"policy":"sd"}}`, i+100)
+	id := createCampaign(t, srv.URL, "", slowPointsBody(8, 100, 0.25))
+	resp, err := http.Get(srv.URL + "/v1/campaigns/" + id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp := postJSON(t, srv.URL+"/v1/campaign", `{"points":[`+strings.Join(specs, ",")+`]}`)
+	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	if !sc.Scan() {
 		t.Fatalf("no first result: %v", sc.Err())
 	}
 	s.BeginShutdown()
-	lines := decodeLines(t, sc) // reads to EOF: the response completes
-	if len(lines) == 0 {
-		t.Fatal("stream ended without a terminal event")
+	var lines []string
+	for sc.Scan() { // reads to EOF: the response completes
+		lines = append(lines, sc.Text())
 	}
-	last := lines[len(lines)-1]
-	if !last.Shutdown || last.Error == "" {
-		t.Fatalf("terminal line %+v, want shutdown event", last)
+	if len(lines) == 0 {
+		t.Fatal("stream ended without a shutdown frame")
+	}
+	last := decodeFrames(t, lines)[len(lines)-1]
+	if last.Shutdown == nil || !*last.Shutdown || last.Error == nil ||
+		last.Error.Code != "unavailable" || last.Seq != 0 {
+		t.Fatalf("last frame %q, want the shutdown frame", lines[len(lines)-1])
 	}
 }
 
@@ -276,8 +314,6 @@ func TestHealthReportsInFlightCampaigns(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	// Enough distinct points that the campaign is reliably observable
 	// in flight: a single small sim can finish between two health polls.
 	var points []string
@@ -285,34 +321,13 @@ func TestHealthReportsInFlightCampaigns(t *testing.T) {
 		points = append(points,
 			fmt.Sprintf(`{"workload":"wl1","scale":1.0,"seed":%d,"options":{"policy":"sd"}}`, seed))
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/campaign",
-		strings.NewReader(`{"points":[`+strings.Join(points, ",")+`]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	id := createCampaign(t, srv.URL, "", `{"points":[`+strings.Join(points, ",")+`]}`)
 
-	health := func() Health {
-		hr, err := http.Get(srv.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer hr.Body.Close()
-		var h Health
-		if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	// The campaign holds its slot until its single point finishes or
-	// the client goes away; observe it in /healthz while it runs.
+	// The runner holds its slot until the campaign finishes or is
+	// cancelled; observe it in /healthz while it runs.
 	deadline := time.After(10 * time.Second)
 	for {
-		h := health()
+		h := fetchHealth(t, srv.URL)
 		if h.CampaignsInFlight == 1 && h.InFlight == 1 {
 			break
 		}
@@ -322,26 +337,26 @@ func TestHealthReportsInFlightCampaigns(t *testing.T) {
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
-	cancel()
+	deleteCampaign(t, srv.URL, id)
 	deadline = time.After(10 * time.Second)
 	for {
-		h := health()
+		h := fetchHealth(t, srv.URL)
 		if h.CampaignsInFlight == 0 && h.InFlight == 0 {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("in-flight counts stuck after disconnect: %+v", h)
+			t.Fatalf("in-flight counts stuck after DELETE: %+v", h)
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
 }
 
 // TestCampaignDerivationsMatchGoAPIAblation is the HTTP half of the
-// derivation refactor's acceptance criterion: a /v1/campaign request
-// whose points carry derivation chains must reproduce the Go-API
-// ablation helper's rows exactly — the labelled sweeps need nothing
-// beyond plain points on the wire.
+// derivation refactor's acceptance criterion: a campaign whose points
+// carry derivation chains must reproduce the Go-API ablation helper's
+// rows exactly — the labelled sweeps need nothing beyond plain points
+// on the wire.
 func TestCampaignDerivationsMatchGoAPIAblation(t *testing.T) {
 	const workload, scale = "wl5", 0.2
 	const seed = 31
@@ -369,25 +384,21 @@ func TestCampaignDerivationsMatchGoAPIAblation(t *testing.T) {
 			},
 		})
 	}
-	body, err := json.Marshal(CampaignRequest{Points: points})
+	body, err := json.Marshal(CreateCampaignRequest{Points: points})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := testServer(t)
-	resp := postJSON(t, srv.URL+"/v1/campaign", string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	lines := decodeLines(t, bufio.NewScanner(resp.Body))
-	if len(lines) != len(points)+1 {
-		t.Fatalf("%d lines, want %d results + terminal", len(lines), len(points))
+	frames := campaignFrames(t, srv.URL, "", string(body))
+	if len(frames) != len(points)+1 {
+		t.Fatalf("%d frames, want %d results + terminal", len(frames), len(points))
 	}
 	results := make([]*sdpolicy.Result, len(points))
-	for _, l := range lines[:len(points)] {
-		if l.Index == nil || l.Result == nil {
-			t.Fatalf("malformed line %+v", l)
+	for _, f := range frames[:len(points)] {
+		if f.Index == nil || f.Result == nil {
+			t.Fatalf("malformed frame %+v", f)
 		}
-		results[*l.Index] = l.Result
+		results[*f.Index] = f.Result
 	}
 	base := results[0]
 	for i, f := range fracs {
@@ -409,21 +420,20 @@ func TestCampaignDerivationsMatchGoAPIAblation(t *testing.T) {
 
 	// Echoed points must round-trip: resubmitting the streamed point
 	// reproduces its result from cache.
-	echoed, err := json.Marshal(CampaignRequest{Points: []sdpolicy.PointSpec{points[1]}})
+	echoed, err := json.Marshal(CreateCampaignRequest{Points: []sdpolicy.PointSpec{points[1]}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2 := postJSON(t, srv.URL+"/v1/campaign", string(echoed))
-	lines2 := decodeLines(t, bufio.NewScanner(resp2.Body))
-	if len(lines2) != 2 || lines2[0].Result == nil {
-		t.Fatalf("resubmit lines: %+v", lines2)
+	frames2 := campaignFrames(t, srv.URL, "", string(echoed))
+	if len(frames2) != 2 || frames2[0].Result == nil {
+		t.Fatalf("resubmit frames: %+v", frames2)
 	}
-	if lines2[0].Result.AvgSlowdown != results[1].AvgSlowdown {
+	if frames2[0].Result.AvgSlowdown != results[1].AvgSlowdown {
 		t.Fatal("resubmitted derived point diverged")
 	}
 
-	// Invalid derivations are a 400, not a stream.
-	bad := postJSON(t, srv.URL+"/v1/campaign",
+	// Invalid derivations are a 400, not a campaign.
+	bad := postJSON(t, srv.URL+"/v1/campaigns",
 		`{"points":[{"workload":"wl5","derivations":[{"op":"warp","fraction":0.5}],"options":{}}]}`)
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid derivation: status %d", bad.StatusCode)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,29 +15,37 @@ import (
 	"sdpolicy/internal/reducer"
 )
 
-// Resource-oriented campaigns: POST /v1/campaigns creates a campaign
-// that runs detached from any client connection, GET /v1/campaigns/{id}
-// attaches to its stream — resumable from any frame via the ?from=<seq>
-// cursor, since every frame carries a monotonic seq — and DELETE
-// cancels it. Frames are buffered for the campaign's lifetime (and,
-// with EnableJournal, write-ahead journaled), so a client that
-// disconnects mid-stream reattaches with ?from= and misses nothing,
-// and a journal-backed server that restarts — or a standby that adopts
-// the journal after coordinator failover — replays the exact frames
-// already emitted and finishes only the positions without a journaled
-// result. The replayed prefix is byte-identical to the original
-// stream; resumed frames continue its seq sequence.
+// Resource-oriented campaigns, the one campaign protocol — spoken by
+// clients and by a coordinator to its workers alike: POST /v1/campaigns
+// creates a campaign that runs detached from any client connection, GET
+// /v1/campaigns/{id} attaches to its stream — resumable from any frame
+// via the ?from=<seq> cursor, since every frame carries a monotonic seq
+// — and DELETE cancels it. Frames are buffered in memory (and, with
+// EnableJournal, write-ahead journaled), so a client that disconnects
+// mid-stream reattaches with ?from= and misses nothing, and a
+// journal-backed server that restarts — or a standby that adopts the
+// journal after coordinator failover — replays the exact frames already
+// emitted and finishes only the positions without a journaled result.
+// The replayed prefix is byte-identical to the original stream; resumed
+// frames continue its seq sequence.
+//
+// Retention: the registry keeps every running campaign and the
+// maxTerminalCampaigns most recently finished ones. A journaled
+// campaign evicted past that bound is rebuilt from its journal on its
+// next lookup, byte-identically; an unjournaled one answers 404.
 //
 // Stream frames (SSE event name / NDJSON line):
 //
 //	result    {"seq":N,"index":i,"point":...,"result":...}
-//	report    {"seq":N,"report_for":i,"report":...}   (Reports: true)
+//	report    {"seq":N,"report_for":i,"report":...}   (reports: true)
+//	trace     {"seq":N,"trace":true,"campaign_id":...}  (trace: true;
+//	          just before the terminal frame, see TraceFrame)
 //	done      {"seq":N,"done":true,"points":K}        terminal
 //	error     {"seq":N,"error":{code,message,campaign_id}}  terminal
 //	cancelled {"seq":N,"cancelled":true}              terminal
-//	shutdown  {"shutdown":true,...}  transport-level, no seq: the
-//	          serving process is going away; reattach (elsewhere) to
-//	          continue from your cursor.
+//	shutdown  {"shutdown":true,"error":{...}}  transport-level, no seq:
+//	          the serving process is going away; reattach (elsewhere)
+//	          to continue from your cursor.
 
 // Campaign resource states, as reported by GET /v1/campaigns/{id}/status.
 const (
@@ -48,15 +55,22 @@ const (
 	campaignCancelled = "cancelled"
 )
 
-// CreateCampaignRequest is the POST /v1/campaigns body. Unlike the
-// deprecated alias it has no Format field: the encoding is chosen per
-// attach, not per campaign.
+// maxTerminalCampaigns bounds how many finished campaigns the registry
+// keeps in memory. Every coordinator shard is a campaign on its worker,
+// so without a bound a long-lived worker would grow without limit.
+const maxTerminalCampaigns = 64
+
+// CreateCampaignRequest is the POST /v1/campaigns body. The stream
+// encoding is chosen per attach, not per campaign.
 type CreateCampaignRequest struct {
 	Points []sdpolicy.PointSpec `json:"points"`
 	// Reports adds a per-job report frame after each result, so an
 	// attaching client can warm a local result cache (Engine.Prime)
 	// with entries equivalent to locally simulated ones.
 	Reports bool `json:"reports,omitempty"`
+	// Trace adds a trace frame just before the terminal frame: where
+	// the campaign's wall-clock went, per shard and per peer.
+	Trace bool `json:"trace,omitempty"`
 }
 
 // CreateCampaignResponse is the 201 body; the Location header carries
@@ -102,6 +116,7 @@ type campaignState struct {
 	id      string
 	points  []sdpolicy.Point
 	reports bool
+	trace   bool
 	// experiment, when non-empty, names the registry experiment this
 	// campaign backs; expParams is its resolved parameter set, used to
 	// build a fresh fold instance per /v1/experiments/{id} attach.
@@ -125,11 +140,12 @@ type campaignState struct {
 	w *journal.Writer
 }
 
-func newCampaignState(id string, points []sdpolicy.Point, reports bool) *campaignState {
+func newCampaignState(id string, points []sdpolicy.Point, reports, trace bool) *campaignState {
 	return &campaignState{
 		id:      id,
 		points:  points,
 		reports: reports,
+		trace:   trace,
 		state:   campaignRunning,
 		wake:    make(chan struct{}),
 	}
@@ -160,6 +176,9 @@ func (cs *campaignState) status() CampaignStatus {
 type campaignRegistry struct {
 	mu   sync.Mutex
 	byID map[string]*campaignState
+	// finished lists the terminal campaigns still in byID, oldest
+	// first: the eviction order.
+	finished []string
 }
 
 func newCampaignRegistry() *campaignRegistry {
@@ -189,9 +208,22 @@ func (cr *campaignRegistry) remove(id string) {
 	delete(cr.byID, id)
 }
 
+// retire records that a campaign reached its terminal frame, evicting
+// the oldest finished campaigns past maxTerminalCampaigns. Attaches in
+// progress keep their campaign; only later lookups miss it.
+func (cr *campaignRegistry) retire(id string) {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	cr.finished = append(cr.finished, id)
+	for len(cr.finished) > maxTerminalCampaigns {
+		delete(cr.byID, cr.finished[0])
+		cr.finished = cr.finished[1:]
+	}
+}
+
 // EnableJournal makes every /v1/campaigns resource write-ahead
 // journaled in j and demotes the instance to standby: the campaign
-// plane (resources and the deprecated alias) answers 503 until
+// plane (campaign and experiment resources) answers 503 until
 // Activate is called — by cmd/sdserve, once it holds the journal
 // directory's coordinator lease. Call before EnableCoordinator and
 // before serving requests.
@@ -281,27 +313,47 @@ func (s *Server) recover(stats *ActivationStats) {
 		if s.resources.get(id) != nil {
 			continue
 		}
-		cs, remaining, resume, err := s.recoverCampaign(id)
-		if err != nil {
+		cs, skipped, err := s.adopt(id)
+		switch {
+		case err != nil:
 			slog.Error("journal: skipping unrecoverable campaign", "campaign_id", id, "err", err)
-			continue
-		}
-		if !s.resources.add(cs) {
-			continue
-		}
-		if !resume {
+		case skipped < 0:
 			stats.Completed++
-			continue
+		case cs != nil:
+			stats.Resumed++
+			stats.SkippedPoints += skipped
 		}
-		skipped := len(cs.points) - len(remaining)
-		stats.Resumed++
-		stats.SkippedPoints += skipped
-		mCampaignsResumed.Inc()
-		mResumeSkipped.Add(uint64(skipped))
-		slog.Info("journal: resuming campaign",
-			"campaign_id", id, "points", len(cs.points), "remaining", len(remaining))
-		s.startCampaign(cs, remaining)
 	}
+}
+
+// adopt loads one journaled campaign into the registry: a terminal one
+// as an attachable replay (subject to the retention bound), an
+// incomplete one resumed, dispatching only the positions without a
+// journaled result. It returns the registered campaign and how many of
+// its points the journal already held, or -1 for a terminal campaign.
+// A nil campaign with a nil error means a concurrent adopt won.
+func (s *Server) adopt(id string) (*campaignState, int, error) {
+	cs, remaining, resume, err := s.recoverCampaign(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !s.resources.add(cs) {
+		if cs.w != nil {
+			cs.w.Close()
+		}
+		return nil, 0, nil
+	}
+	if !resume {
+		s.resources.retire(id)
+		return cs, -1, nil
+	}
+	skipped := len(cs.points) - len(remaining)
+	mCampaignsResumed.Inc()
+	mResumeSkipped.Add(uint64(skipped))
+	slog.Info("journal: resuming campaign",
+		"campaign_id", id, "points", len(cs.points), "remaining", len(remaining))
+	s.startCampaign(cs, remaining)
+	return cs, skipped, nil
 }
 
 // recoverCampaign rebuilds one campaign from its journal: the create
@@ -328,7 +380,7 @@ func (s *Server) recoverCampaign(id string) (cs *campaignState, remaining []int,
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
-	cs = newCampaignState(id, points, req.Reports)
+	cs = newCampaignState(id, points, req.Reports, req.Trace)
 	if req.Experiment != "" {
 		// Re-resolve the journaled parameters so attaches can rebuild the
 		// fold. A registry drift (renamed experiment, changed parameter)
@@ -413,7 +465,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	}
 	markLegacyWorkloadShape(w, req.Points...)
 	id := canonicalCampaignID(r.Header.Get("X-Campaign-ID"))
-	cs := newCampaignState(id, points, req.Reports)
+	cs := newCampaignState(id, points, req.Reports, req.Trace)
 	if !s.resources.add(cs) {
 		writeCampaignError(w, http.StatusConflict, id,
 			fmt.Errorf("campaign %s already exists; attach with GET /v1/campaigns/%s", id, id))
@@ -460,13 +512,19 @@ func (s *Server) journalCreate(w http.ResponseWriter, cs *campaignState, record 
 var errStandby = errors.New("standby: campaign plane inactive until the coordinator lease is acquired; retry (or try the active coordinator)")
 
 // lookupCampaign resolves {id} for the resource endpoints, replying
-// with the envelope on standby (503, transient) or unknown ID (404).
+// with the envelope on standby (503, transient) or unknown ID (404). A
+// journaled campaign evicted from memory is rebuilt from its journal.
 func (s *Server) lookupCampaign(w http.ResponseWriter, id string) *campaignState {
 	if !s.active.Load() {
 		writeCampaignError(w, http.StatusServiceUnavailable, id, errStandby)
 		return nil
 	}
 	cs := s.resources.get(id)
+	if cs == nil && s.journal != nil {
+		if cs, _, _ = s.adopt(id); cs == nil {
+			cs = s.resources.get(id)
+		}
+	}
 	if cs == nil {
 		writeCampaignError(w, http.StatusNotFound, id, fmt.Errorf("unknown campaign %s", id))
 		return nil
@@ -531,23 +589,10 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request, id
 // cursor (0 = from the beginning; pass the last seq you saw to resume
 // exactly after it): first everything already buffered — for recovered
 // campaigns, byte-identical journal replay — then live frames as they
-// append, ending with the terminal frame. Attaching to a campaign
-// whose cursor is already past the terminal frame re-emits that frame,
-// so a stream always closes explicitly.
+// append, ending with the terminal frame (see follow).
 func (s *Server) handleCampaignAttach(w http.ResponseWriter, r *http.Request, id string) {
-	q := r.URL.Query()
-	var from uint64
-	if v := q.Get("from"); v != "" {
-		var err error
-		if from, err = strconv.ParseUint(v, 10, 32); err != nil {
-			writeCampaignError(w, http.StatusBadRequest, id,
-				fmt.Errorf("bad ?from=%q: want a frame sequence number", v))
-			return
-		}
-	}
-	sse, err := wantsSSE(r, q.Get("format"))
-	if err != nil {
-		writeCampaignError(w, http.StatusBadRequest, id, err)
+	from, sse, ok := attachParams(w, r, id)
+	if !ok {
 		return
 	}
 	cs := s.lookupCampaign(w, id)
@@ -557,56 +602,11 @@ func (s *Server) handleCampaignAttach(w http.ResponseWriter, r *http.Request, id
 	mCampaignAttaches.Inc()
 	w.Header().Set("X-Campaign-ID", id)
 	st := newStreamWriter(w, sse)
-	i := int(from)
-	for {
-		cs.mu.Lock()
-		for i < len(cs.frames) {
-			f := cs.frames[i]
-			i++
-			cs.mu.Unlock()
-			st.rawEvent(f.event, f.data)
-			if terminalEvent(f.event) {
-				return
-			}
-			cs.mu.Lock()
-		}
-		if cs.state != campaignRunning {
-			// Cursor at or past the end of a terminal stream: re-emit
-			// the terminal frame rather than hanging or ending silently.
-			var last frame
-			if n := len(cs.frames); n > 0 {
-				last = cs.frames[n-1]
-			}
-			cs.mu.Unlock()
-			if terminalEvent(last.event) {
-				st.rawEvent(last.event, last.data)
-			}
-			return
-		}
-		wake := cs.wake
-		cs.mu.Unlock()
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		case <-s.shutdown:
-			// Flush whatever appended concurrently, then tell the client
-			// this stream (not the campaign) is over; the journal keeps
-			// the campaign resumable wherever it lands next.
-			cs.mu.Lock()
-			avail := cs.frames[i:len(cs.frames):len(cs.frames)]
-			i = len(cs.frames)
-			cs.mu.Unlock()
-			for _, f := range avail {
-				st.rawEvent(f.event, f.data)
-				if terminalEvent(f.event) {
-					return
-				}
-			}
-			st.event("shutdown", CampaignShutdown{Shutdown: true, Error: "server shutting down"})
-			return
-		}
-	}
+	s.follow(r.Context(), st, cs, int(from), func(f frame) bool {
+		st.rawEvent(f.event, f.data)
+		return terminalEvent(f.event)
+	})
+	st.flush()
 }
 
 // startCampaign launches the detached runner for the positions in
@@ -645,16 +645,22 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 		case <-ctx.Done():
 		}
 	}()
+	// A nil recorder records nothing, so untraced campaigns pay only nil
+	// checks.
+	var tr *traceRecorder
+	if cs.trace {
+		tr = newTraceRecorder()
+	}
 	if len(remaining) == 0 {
 		// Every position is already journaled (the crash landed between
 		// the last result and the done record): just close out.
-		s.finishCampaign(cs, nil)
+		s.finishCampaign(cs, nil, tr)
 		return
 	}
 	select {
 	case s.slots <- struct{}{}:
 	case <-ctx.Done():
-		s.finishCampaign(cs, ctx.Err())
+		s.finishCampaign(cs, ctx.Err(), tr)
 		return
 	}
 	defer s.release()
@@ -685,11 +691,12 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 	errc := make(chan error, 1)
 	run := func(ctx context.Context, pts []sdpolicy.Point, updates chan<- sdpolicy.PointResult) error {
 		_, err := s.engine.RunStream(ctx, pts, updates)
+		tr.record("local", len(pts), 0, begin, err)
 		return err
 	}
 	if s.coord != nil {
 		run = func(ctx context.Context, pts []sdpolicy.Point, updates chan<- sdpolicy.PointResult) error {
-			return s.coord.run(ctx, pts, updates, cs.reports, cs.id, nil)
+			return s.coord.run(ctx, pts, updates, cs.reports, cs.id, tr)
 		}
 	}
 	go func() { errc <- run(ctx, pts, updates) }()
@@ -711,16 +718,45 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 			}
 		}
 	}
-	s.finishCampaign(cs, <-errc)
+	s.finishCampaign(cs, <-errc, tr)
 }
 
-// finishCampaign writes the terminal frame for the campaign's real
-// outcome — or, when the run was cut by server shutdown, writes
-// nothing, leaving the journal open for resumption.
-func (s *Server) finishCampaign(cs *campaignState, err error) {
+// finishCampaign writes the trace frame (when asked for) and the
+// terminal frame for the campaign's real outcome — or, when the run was
+// cut by server shutdown, nothing, leaving the journal resumable. The
+// runner is the campaign's only appender, so its journal writer closes
+// here on every path.
+func (s *Server) finishCampaign(cs *campaignState, err error, tr *traceRecorder) {
+	if cs.w != nil {
+		defer func() {
+			if err := cs.w.Close(); err != nil {
+				slog.Error("journal close failed", "campaign_id", cs.id, "err", err)
+			}
+		}()
+	}
 	cs.mu.Lock()
 	cancelled := cs.cancelRequested
+	completed := cs.completed
 	cs.mu.Unlock()
+	if !cancelled && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		select {
+		case <-s.shutdown:
+			// Shutdown, not failure: stay "running" with no terminal
+			// frame so the next activation resumes the campaign.
+			return
+		default:
+			// A cancellation that is neither DELETE nor shutdown can only
+			// be the runner's own teardown racing a late error; report it.
+		}
+	}
+	if tr != nil {
+		s.appendFrame(cs, journal.KindTrace, func(seq uint64) any {
+			return struct {
+				Seq uint64 `json:"seq"`
+				TraceFrame
+			}{seq, tr.frame(cs.id, completed)}
+		}, nil)
+	}
 	switch {
 	case err == nil:
 		s.appendTerminal(cs, journal.KindDone, campaignDone, func(seq uint64) any {
@@ -739,17 +775,6 @@ func (s *Server) finishCampaign(cs *campaignState, err error) {
 			}{seq, true}
 		})
 		observeExperiment(cs, campaignCancelled)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		select {
-		case <-s.shutdown:
-			// Shutdown, not failure: stay "running" with no terminal
-			// frame so the next activation resumes the campaign.
-			return
-		default:
-			// A cancellation that is neither DELETE nor shutdown can only
-			// be the runner's own teardown racing a late error; report it.
-			s.appendErrorTerminal(cs, err)
-		}
 	default:
 		s.appendErrorTerminal(cs, err)
 	}
@@ -812,6 +837,7 @@ func (s *Server) appendReport(cs *campaignState, pos int, report json.RawMessage
 
 func (s *Server) appendTerminal(cs *campaignState, kind, state string, payload func(seq uint64) any) {
 	s.appendFrame(cs, kind, payload, func(cs *campaignState) { cs.state = state })
+	s.resources.retire(cs.id)
 }
 
 // appendFrame assigns the next seq, marshals the frame, journals it

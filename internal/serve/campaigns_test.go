@@ -113,16 +113,20 @@ func campaignStatus(t *testing.T, base, id string) CampaignStatus {
 	return st
 }
 
-func waitCampaignState(t *testing.T, base, id, state string) CampaignStatus {
+// waitCampaignState polls a campaign's status until it reaches one of
+// the given states.
+func waitCampaignState(t *testing.T, base, id string, states ...string) CampaignStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		st := campaignStatus(t, base, id)
-		if st.State == state {
-			return st
+		for _, want := range states {
+			if st.State == want {
+				return st
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("campaign %s stuck in %q (want %q): %+v", id, st.State, state, st)
+			t.Fatalf("campaign %s stuck in %q (want %v): %+v", id, st.State, states, st)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -343,19 +347,6 @@ func TestCampaignCancel(t *testing.T) {
 	}
 }
 
-func TestAliasDeprecationHeaders(t *testing.T) {
-	srv := testServer(t)
-	resp := postJSON(t, srv.URL+"/v1/campaign", campaignPointsBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("alias status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" ||
-		!strings.Contains(resp.Header.Get("Link"), "/v1/campaigns") {
-		t.Fatalf("alias missing deprecation headers: Deprecation=%q Link=%q",
-			resp.Header.Get("Deprecation"), resp.Header.Get("Link"))
-	}
-}
-
 // TestStandbyGatesCampaignPlane: a journal-backed instance refuses all
 // campaign work with 503 until Activate, then serves normally.
 func TestStandbyGatesCampaignPlane(t *testing.T) {
@@ -384,7 +375,7 @@ func TestStandbyGatesCampaignPlane(t *testing.T) {
 	}
 	expect503(http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(campaignPointsBody)))
 	expect503(http.Get(srv.URL + "/v1/campaigns/whatever"))
-	expect503(http.Post(srv.URL+"/v1/campaign", "application/json", strings.NewReader(campaignPointsBody)))
+	expect503(http.Post(srv.URL+"/v1/experiments", "application/json", strings.NewReader(`{"experiment":"table2"}`)))
 	if h := fetchHealth(t, srv.URL); h.Role != "standby" {
 		t.Fatalf("standby role %q", h.Role)
 	}
@@ -594,5 +585,104 @@ func TestPeerTableFailoverAdoption(t *testing.T) {
 	snap := s2.coord.peers.snapshot()
 	if len(snap) != 1 || snap[0].URL != "http://127.0.0.1:59999" || snap[0].Source != "registered" {
 		t.Fatalf("adopted peer table %+v", snap)
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open fds: %v", err)
+	}
+	return len(ents)
+}
+
+func (cr *campaignRegistry) size() int {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	return len(cr.byID)
+}
+
+// TestCampaignRetentionBounded: a journaled server that runs thousands
+// of campaigns closes each one's journal writer and keeps only a
+// bounded number of finished campaigns in memory, and an evicted
+// campaign replays from its journal byte-identically, from the start
+// and from a middle cursor.
+func TestCampaignRetentionBounded(t *testing.T) {
+	const campaigns = 2000
+	j, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(sdpolicy.NewEngine(2, 64), 4)
+	s.EnableJournal(j)
+	s.Activate()
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+
+	traced := strings.TrimSuffix(campaignPointsBody, "}") + `,"trace":true}`
+	first := createCampaign(t, srv.URL, "first", traced)
+	full := attachLines(t, srv.URL, first, 0)
+	if len(full) != campaignPointCount+2 { // results, trace, done
+		t.Fatalf("%d frames, want %d", len(full), campaignPointCount+2)
+	}
+	const mid = 3
+	suffix := attachLines(t, srv.URL, first, mid)
+
+	baseFDs := openFDs(t)
+	const onePoint = `{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"static"}}]}`
+	for i := 0; i < campaigns; i++ {
+		id := createCampaign(t, srv.URL, "", onePoint)
+		if lines := attachLines(t, srv.URL, id, 0); len(lines) != 2 {
+			t.Fatalf("campaign %d: %d frames, want result + done", i, len(lines))
+		}
+		if i%100 != 99 {
+			continue
+		}
+		// Slack for a few keep-alive sockets; each leaked journal writer
+		// is one more fd.
+		if n := openFDs(t); n > baseFDs+8 {
+			t.Fatalf("after %d campaigns: %d open fds, started with %d", i+1, n, baseFDs)
+		}
+		if n := s.resources.size(); n > maxTerminalCampaigns {
+			t.Fatalf("after %d campaigns: %d campaigns retained, bound %d", i+1, n, maxTerminalCampaigns)
+		}
+	}
+
+	if s.resources.get(first) != nil {
+		t.Fatal("the first campaign was never evicted")
+	}
+	if again := attachLines(t, srv.URL, first, 0); strings.Join(again, "\n") != strings.Join(full, "\n") {
+		t.Fatalf("evicted campaign replays differently:\n%s\nvs\n%s", again, full)
+	}
+	if again := attachLines(t, srv.URL, first, mid); strings.Join(again, "\n") != strings.Join(suffix, "\n") {
+		t.Fatalf("evicted campaign replays differently from ?from=%d", mid)
+	}
+	if st := campaignStatus(t, srv.URL, first); st.State != campaignDone || st.Completed != campaignPointCount {
+		t.Fatalf("reloaded status %+v", st)
+	}
+}
+
+// TestEvictedCampaignWithoutJournal404: past the retention bound an
+// unjournaled server has nothing to rebuild an evicted campaign from,
+// so its ID answers the not-found envelope.
+func TestEvictedCampaignWithoutJournal404(t *testing.T) {
+	srv := testServer(t)
+	const onePoint = `{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"static"}}]}`
+	first := createCampaign(t, srv.URL, "", onePoint)
+	attachLines(t, srv.URL, first, 0)
+	for i := 0; i < maxTerminalCampaigns; i++ {
+		attachLines(t, srv.URL, createCampaign(t, srv.URL, "", onePoint), 0)
+	}
+	resp, err := http.Get(srv.URL + "/v1/campaigns/" + first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env ErrorEnvelope
+	if resp.StatusCode != http.StatusNotFound || json.NewDecoder(resp.Body).Decode(&env) != nil ||
+		env.Error.Code != "not_found" || env.Error.CampaignID != first {
+		t.Fatalf("evicted campaign: status %d, envelope %+v", resp.StatusCode, env)
 	}
 }

@@ -14,155 +14,121 @@ import (
 	"sdpolicy"
 )
 
-// This file is the client side of the /v1/campaign wire form — the one
-// place the request shape and stream events are defined for consumers.
-// Two callers share it: the coordinator's per-shard fan-out (which adds
-// worker-fault classification and partial-shard tracking on top) and
-// sdexp -server via RunRemoteCampaign.
+// This file is the client side of the resource wire form — the one
+// place its requests and stream frames are decoded. Three callers share
+// it: the coordinator's per-shard hop to its workers (which adds
+// worker-fault classification on top) and, through runResource, sdexp
+// -server and sdexp -experiment -server.
 
-// postCampaign marshals points in the shared PointSpec wire form and
-// opens an NDJSON /v1/campaign stream against base (no trailing
-// slash). With reports, the ?reports=1 query param negotiates per-job
-// report frames: a worker that understands it follows each result line
-// with a report line, and one that doesn't simply ignores the param —
-// old and new fleet members interoperate either way. A non-empty
-// campaignID rides the X-Campaign-ID header so the worker logs the
-// same campaign ID the coordinator does; an old worker ignores the
-// header. The caller owns closing the response body and interpreting
-// non-200 statuses.
-func postCampaign(ctx context.Context, hc *http.Client, base string, points []sdpolicy.Point, reports bool, campaignID string) (*http.Response, error) {
-	body, err := json.Marshal(struct {
-		Points []sdpolicy.Point `json:"points"`
-		Format string           `json:"format"`
-	}{Points: points, Format: "ndjson"})
-	if err != nil {
-		return nil, err
-	}
-	url := base + "/v1/campaign"
-	if reports {
-		url += "?reports=1"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if campaignID != "" {
-		req.Header.Set("X-Campaign-ID", campaignID)
-	}
-	return hc.Do(req)
-}
-
-// workerEvent decodes any line of a /v1/campaign NDJSON stream: result
-// lines carry Index/Result, negotiated report lines carry
-// ReportFor/Report, the terminal line carries Done, Shutdown or Error.
-// The echoed point and done-count fields are deliberately not decoded —
-// no consumer reads them.
-type workerEvent struct {
-	Index     *int             `json:"index"`
-	Result    *sdpolicy.Result `json:"result"`
-	ReportFor *int             `json:"report_for"`
-	Report    json.RawMessage  `json:"report"`
-	Done      *bool            `json:"done"`
-	Shutdown  *bool            `json:"shutdown"`
-	Error     *string          `json:"error"`
-	// Trace marks a ?trace=1 summary frame. Consumers here never ask
-	// for one, but decoding it keeps the loops tolerant of a server
-	// that sends it anyway instead of killing the worker for it.
-	Trace *bool `json:"trace"`
-}
-
-// reportFrame is the negotiated per-job-report stream line (NDJSON
-// line / SSE event "report"): the full report for the result already
-// streamed at index ReportFor. Only emitted when the request carried
-// ?reports=1, so clients that never ask never see it.
-type reportFrame struct {
-	ReportFor int             `json:"report_for"`
-	Report    json.RawMessage `json:"report"`
-}
-
-// eventKind classifies a stream line; the discrimination rules live
-// here once so the decode loops (RunRemoteCampaign and the
-// coordinator's fan-out) cannot drift apart.
-type eventKind int
-
-const (
-	evResult eventKind = iota
-	evReport
-	evTrace
-	evDone
-	evShutdown
-	evError
-	evUnknown
-)
-
-func (ev workerEvent) kind() eventKind {
-	switch {
-	case ev.Index != nil:
-		return evResult
-	case ev.ReportFor != nil:
-		return evReport
-	case ev.Trace != nil && *ev.Trace:
-		return evTrace
-	case ev.Done != nil && *ev.Done:
-		return evDone
-	case ev.Shutdown != nil && *ev.Shutdown:
-		return evShutdown
-	case ev.Error != nil:
-		return evError
-	default:
-		return evUnknown
-	}
-}
-
-// readError summarises a non-200 campaign response.
-func readError(base string, resp *http.Response) error {
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	return fmt.Errorf("%s: status %d: %s", base, resp.StatusCode, bytes.TrimSpace(msg))
-}
-
-// streamFrame decodes any line of a /v1/campaigns/{id} NDJSON stream.
-// Unlike the alias's workerEvent, every campaign frame carries a
-// monotonic Seq — the reattach cursor — and the terminal error is the
-// structured ErrorDetail, not a bare string.
+// streamFrame decodes any line of a /v1/campaigns/{id} or
+// /v1/experiments/{id} NDJSON stream. Every frame but shutdown carries
+// a monotonic Seq — the reattach cursor.
 type streamFrame struct {
 	Seq       uint64           `json:"seq"`
 	Index     *int             `json:"index"`
 	Result    *sdpolicy.Result `json:"result"`
 	ReportFor *int             `json:"report_for"`
 	Report    json.RawMessage  `json:"report"`
+	Row       json.RawMessage  `json:"row"`
+	Summary   json.RawMessage  `json:"summary"`
 	Done      *bool            `json:"done"`
 	Cancelled *bool            `json:"cancelled"`
 	Shutdown  *bool            `json:"shutdown"`
 	Error     *ErrorDetail     `json:"error"`
 }
 
-// durable-campaign client retry tuning: transient failures (connection
-// refused, 503 from a standby, a mid-stream disconnect) rotate to the
-// next base and back off exponentially; any successfully decoded frame
-// resets the clock. The cap bounds a total outage to roughly a minute.
+// statusError is a non-2xx reply, kept with its status so callers can
+// tell a deterministic refusal from a transient one.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+
+// readError summarises a non-2xx reply as a *statusError.
+func readError(base string, resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	return &statusError{resp.StatusCode,
+		fmt.Errorf("%s: status %d: %s", base, resp.StatusCode, bytes.TrimSpace(msg))}
+}
+
+// httpStatus is the status of a *statusError in err's chain, else 0.
+func httpStatus(err error) int {
+	var se *statusError
+	if errors.As(err, &se) {
+		return se.status
+	}
+	return 0
+}
+
+// createResource POSTs body to base+collection under the client-chosen
+// id and returns the ID the 201 reply names. Any other status,
+// including 409, comes back as a *statusError.
+func createResource(ctx context.Context, hc *http.Client, base, collection, id string, body []byte) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+collection, bytes.NewReader(body))
+	if err != nil {
+		return "", err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Campaign-ID", id)
+	resp, err := hc.Do(req)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		return "", readError(base, resp)
+	}
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil || created.ID == "" {
+		return "", fmt.Errorf("%s: malformed create reply (%v)", base, err)
+	}
+	return created.ID, nil
+}
+
+// attachStream opens the NDJSON stream of resource base+collection/id
+// from the cursor; the caller closes the body.
+func attachStream(ctx context.Context, hc *http.Client, base, collection, id string, from uint64) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		fmt.Sprintf("%s%s/%s?from=%d", base, collection, id, from), nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, readError(base, resp)
+	}
+	return resp, nil
+}
+
+// durable-client retry tuning: transient failures (connection refused,
+// 503 from a standby, a mid-stream disconnect) rotate to the next base
+// and back off exponentially; any frame with a seq resets the clock.
+// The cap bounds a total outage to roughly a minute.
 const (
 	durableBackoffBase = 100 * time.Millisecond
 	durableBackoffMax  = 2 * time.Second
 	durableMaxFailures = 30
 )
 
-// RunDurableCampaign executes points as a /v1/campaigns resource
-// against a set of equivalent server bases (the active coordinator and
-// its failover standbys), calling emit exactly like RunRemoteCampaign:
-// result deliveries in completion order, then — with reports — per-job
-// report deliveries.
-//
-// Where RunRemoteCampaign aborts on any interruption, this client
-// rides through them: it creates the campaign once (a 409 means the
-// create landed before a previous attempt was cut off — it attaches),
-// then streams frames, and on a disconnect, server shutdown frame, or
-// coordinator failover reattaches — to any base — with ?from=<last
-// seq>, deduplicating by point index so the merged emit sequence is
-// identical to an uninterrupted run. It gives up only on deterministic
-// failures (bad request, the campaign's own terminal error or
-// cancellation) or after durableMaxFailures consecutive transient ones.
-func RunDurableCampaign(ctx context.Context, client *http.Client, bases []string, points []sdpolicy.Point, reports bool, emit func(index int, res *sdpolicy.Result, report json.RawMessage) error) error {
+// runResource is the create-then-attach loop behind RunDurableCampaign
+// and RunRemoteExperiment. It creates the resource once under a
+// client-chosen ID (a 409 means an earlier attempt's create landed
+// before it was cut off, so it attaches), then reads frames from the
+// ?from= cursor, handing every seq'd frame to onFrame, until the
+// terminal done frame. On a disconnect, shutdown frame or coordinator
+// failover it reattaches — to any base — from the last seq. It gives up
+// on deterministic failures (a create refused with 400, 404, 405 or
+// 415, a bad cursor, the resource's own error or cancellation, an
+// onFrame error) or after durableMaxFailures consecutive transient ones.
+func runResource(ctx context.Context, client *http.Client, bases []string, collection string, body any, onFrame func(streamFrame) error) error {
 	if client == nil {
 		client = http.DefaultClient
 	}
@@ -172,11 +138,71 @@ func RunDurableCampaign(ctx context.Context, client *http.Client, bases []string
 	for i, b := range bases {
 		bases[i] = strings.TrimRight(b, "/")
 	}
+	data, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
 	id := newCampaignID()
 	cur, failures := 0, 0
-	// transient sleeps out the backoff for one more transient failure,
-	// or gives up once the budget is spent.
-	transient := func(err error) error {
+	created := false
+	var lastSeq uint64
+	for {
+		err := func() error {
+			if !created {
+				_, err := createResource(ctx, client, bases[cur], collection, id, data)
+				switch httpStatus(err) {
+				case http.StatusConflict:
+				case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusUnsupportedMediaType:
+					return &fatalStreamError{err}
+				default:
+					if err != nil {
+						return err
+					}
+				}
+				created = true
+			}
+			resp, err := attachStream(ctx, client, bases[cur], collection, id, lastSeq)
+			if err != nil {
+				if httpStatus(err) == http.StatusBadRequest {
+					return &fatalStreamError{err}
+				}
+				return err
+			}
+			defer resp.Body.Close()
+			dec := json.NewDecoder(resp.Body)
+			for {
+				var f streamFrame
+				if err := dec.Decode(&f); err != nil {
+					return fmt.Errorf("%s: stream ended early: %w", bases[cur], err)
+				}
+				switch {
+				case f.Shutdown != nil && *f.Shutdown:
+					return fmt.Errorf("%s shut down mid-stream", bases[cur])
+				case f.Cancelled != nil && *f.Cancelled:
+					return &fatalStreamError{fmt.Errorf("%s%s/%s was cancelled", bases[cur], collection, id)}
+				case f.Error != nil:
+					return &fatalStreamError{fmt.Errorf("%s%s/%s failed: %s: %s",
+						bases[cur], collection, id, f.Error.Code, f.Error.Message)}
+				}
+				if f.Seq > 0 {
+					lastSeq = f.Seq
+					failures = 0
+				}
+				if err := onFrame(f); err != nil {
+					return &fatalStreamError{err}
+				}
+				if f.Done != nil && *f.Done {
+					return nil
+				}
+			}
+		}()
+		if err == nil {
+			return nil
+		}
+		var fatal *fatalStreamError
+		if errors.As(err, &fatal) {
+			return fatal.err
+		}
 		failures++
 		if failures >= durableMaxFailures {
 			return fmt.Errorf("giving up after %d consecutive failures: %w", failures, err)
@@ -188,198 +214,85 @@ func RunDurableCampaign(ctx context.Context, client *http.Client, bases []string
 		}
 		select {
 		case <-time.After(delay):
-			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
-
-	// Create the resource. The ID is client-chosen so a retry against
-	// another base (or after an ambiguous failure) is idempotent: 409
-	// means some earlier attempt won, which is success.
-	body, err := json.Marshal(struct {
-		Points  []sdpolicy.Point `json:"points"`
-		Reports bool             `json:"reports,omitempty"`
-	}{Points: points, Reports: reports})
-	if err != nil {
-		return err
-	}
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			bases[cur]+"/v1/campaigns", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Campaign-ID", id)
-		resp, err := client.Do(req)
-		if err == nil {
-			status := resp.StatusCode
-			var ferr error
-			if status != http.StatusCreated && status != http.StatusConflict {
-				ferr = readError(bases[cur], resp)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if ferr == nil {
-				break
-			}
-			if status == http.StatusBadRequest || status == http.StatusNotFound ||
-				status == http.StatusMethodNotAllowed {
-				// Deterministic: every retry would fail identically.
-				return ferr
-			}
-			err = ferr
-		}
-		if terr := transient(err); terr != nil {
-			return terr
-		}
-	}
-
-	// Attach, emitting deduplicated frames; reattach from the cursor on
-	// every transient interruption.
-	var lastSeq uint64
-	seen := make(map[int]bool)
-	seenReport := make(map[int]bool)
-	for {
-		ferr := func() error {
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-				fmt.Sprintf("%s/v1/campaigns/%s?from=%d", bases[cur], id, lastSeq), nil)
-			if err != nil {
-				return err
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				return err
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				err := readError(bases[cur], resp)
-				if resp.StatusCode == http.StatusBadRequest {
-					return &fatalStreamError{err}
-				}
-				return err
-			}
-			dec := json.NewDecoder(resp.Body)
-			for {
-				var f streamFrame
-				if err := dec.Decode(&f); err != nil {
-					return fmt.Errorf("%s: stream ended early: %w", bases[cur], err)
-				}
-				if f.Seq > 0 {
-					lastSeq = f.Seq
-					failures = 0
-				}
-				switch {
-				case f.Index != nil:
-					if *f.Index < 0 || *f.Index >= len(points) || f.Result == nil {
-						return &fatalStreamError{fmt.Errorf("%s: malformed result frame (index %v)", bases[cur], *f.Index)}
-					}
-					if seen[*f.Index] {
-						continue
-					}
-					seen[*f.Index] = true
-					if err := emit(*f.Index, f.Result, nil); err != nil {
-						return &fatalStreamError{err}
-					}
-				case f.ReportFor != nil:
-					if *f.ReportFor < 0 || *f.ReportFor >= len(points) || len(f.Report) == 0 || seenReport[*f.ReportFor] {
-						continue
-					}
-					seenReport[*f.ReportFor] = true
-					if err := emit(*f.ReportFor, nil, f.Report); err != nil {
-						return &fatalStreamError{err}
-					}
-				case f.Done != nil && *f.Done:
-					return nil
-				case f.Cancelled != nil && *f.Cancelled:
-					return &fatalStreamError{fmt.Errorf("campaign %s was cancelled", id)}
-				case f.Error != nil && f.Seq > 0:
-					return &fatalStreamError{fmt.Errorf("campaign %s failed: %s: %s", id, f.Error.Code, f.Error.Message)}
-				case f.Shutdown != nil && *f.Shutdown:
-					return fmt.Errorf("%s shut down mid-stream", bases[cur])
-				}
-				// Unknown frame kinds are skipped (the cursor already
-				// advanced): a newer server may add informational frames.
-			}
-		}()
-		if ferr == nil {
-			return nil
-		}
-		var fatal *fatalStreamError
-		if errors.As(ferr, &fatal) {
-			return fatal.err
-		}
-		if terr := transient(ferr); terr != nil {
-			return terr
-		}
-	}
 }
 
-// fatalStreamError marks a durable-campaign failure no reattach can
-// fix: the campaign itself ended badly or the server rejected the
-// request deterministically.
+// fatalStreamError marks a failure no reattach can fix: the resource
+// itself ended badly or the server rejected the request
+// deterministically.
 type fatalStreamError struct{ err error }
 
 func (e *fatalStreamError) Error() string { return e.err.Error() }
 func (e *fatalStreamError) Unwrap() error { return e.err }
 
-// RunRemoteCampaign executes points on a remote sdserve instance
-// (worker or coordinator) at base URL, calling emit for each stream
-// delivery in completion order: result deliveries carry a non-nil res
-// for points[index], and — when reports is true, negotiating the
-// per-job-report frames — report deliveries follow with a nil res and
+// RunDurableCampaign executes points as a /v1/campaigns resource
+// against a set of equivalent server bases (the active coordinator and
+// its failover standbys), calling emit for each delivery in completion
+// order: result deliveries carry a non-nil res for points[index], and —
+// when reports is true — report deliveries follow with a nil res and
 // the report encoding for an index already delivered (feed it to
-// Result.SetReportJSON / Engine.Prime to warm a local cache). Any
-// failure — transport, non-200 status, in-band error or shutdown
-// terminal, emit's own error — aborts the campaign. It backs sdexp
-// -server.
-func RunRemoteCampaign(ctx context.Context, client *http.Client, base string, points []sdpolicy.Point, reports bool, emit func(index int, res *sdpolicy.Result, report json.RawMessage) error) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	base = strings.TrimRight(base, "/")
-	resp, err := postCampaign(ctx, client, base, points, reports, "")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return readError(base, resp)
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var ev workerEvent
-		if err := dec.Decode(&ev); err != nil {
-			return fmt.Errorf("%s: stream ended early: %w", base, err)
-		}
-		switch ev.kind() {
-		case evResult:
-			if *ev.Index < 0 || *ev.Index >= len(points) || ev.Result == nil {
-				return fmt.Errorf("%s: malformed result line (index %v)", base, *ev.Index)
+// Result.SetReportJSON / Engine.Prime to warm a local cache). It rides
+// through interruptions as runResource describes, deduplicating by
+// point index so the emit sequence is identical to an uninterrupted
+// run's. It backs sdexp -server.
+func RunDurableCampaign(ctx context.Context, client *http.Client, bases []string, points []sdpolicy.Point, reports bool, emit func(index int, res *sdpolicy.Result, report json.RawMessage) error) error {
+	seen := make(map[int]bool)
+	seenReport := make(map[int]bool)
+	body := struct {
+		Points  []sdpolicy.Point `json:"points"`
+		Reports bool             `json:"reports,omitempty"`
+	}{points, reports}
+	return runResource(ctx, client, bases, "/v1/campaigns", body, func(f streamFrame) error {
+		switch {
+		case f.Index != nil:
+			if *f.Index < 0 || *f.Index >= len(points) || f.Result == nil {
+				return fmt.Errorf("malformed result frame (index %d)", *f.Index)
 			}
-			if err := emit(*ev.Index, ev.Result, nil); err != nil {
-				return err
+			if !seen[*f.Index] {
+				seen[*f.Index] = true
+				return emit(*f.Index, f.Result, nil)
 			}
-		case evReport:
+		case f.ReportFor != nil:
 			// Best-effort frames: ignore malformed ones rather than
-			// aborting a campaign whose results are fine.
-			if *ev.ReportFor < 0 || *ev.ReportFor >= len(points) || len(ev.Report) == 0 {
-				continue
+			// failing a campaign whose results are fine.
+			if *f.ReportFor >= 0 && *f.ReportFor < len(points) && len(f.Report) > 0 && !seenReport[*f.ReportFor] {
+				seenReport[*f.ReportFor] = true
+				return emit(*f.ReportFor, nil, f.Report)
 			}
-			if err := emit(*ev.ReportFor, nil, ev.Report); err != nil {
-				return err
-			}
-		case evTrace:
-			// Unrequested trace summary: nothing to merge, skip it.
-		case evDone:
-			return nil
-		case evShutdown:
-			return fmt.Errorf("%s: server shut down mid-campaign", base)
-		case evError:
-			return fmt.Errorf("%s: %s", base, *ev.Error)
-		default:
-			return fmt.Errorf("%s: unrecognised stream line", base)
 		}
+		return nil
+	})
+}
+
+// RunRemoteExperiment creates the named experiment (params marshals as
+// the request's params object; nil means all defaults) on one of the
+// equivalent server bases and streams its reduced view, calling onRow
+// (when non-nil) for each incremental row in stream order and returning
+// the terminal summary's raw JSON — byte-identical to json.Marshal of
+// the local Engine helper's return value, which is what lets sdexp
+// render remote runs through the same code paths as local ones. The
+// ?from= cursor already deduplicates rows across reattaches, so rows
+// are delivered exactly once. It backs sdexp -experiment -server.
+func RunRemoteExperiment(ctx context.Context, client *http.Client, bases []string, experiment string, params any, onRow func(row json.RawMessage)) (json.RawMessage, error) {
+	var summary json.RawMessage
+	body := struct {
+		Experiment string `json:"experiment"`
+		Params     any    `json:"params,omitempty"`
+	}{experiment, params}
+	err := runResource(ctx, client, bases, "/v1/experiments", body, func(f streamFrame) error {
+		if len(f.Row) > 0 && onRow != nil {
+			onRow(f.Row)
+		}
+		if f.Done != nil && *f.Done {
+			summary = f.Summary
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return summary, nil
 }

@@ -12,9 +12,11 @@ import (
 	"sdpolicy"
 )
 
-// coordinator fans /v1/campaign requests out to an elastic fleet of
-// worker sdserve instances over the streaming wire form and re-merges
-// their NDJSON streams. The campaign's points are planned into
+// coordinator fans campaigns out to an elastic fleet of worker sdserve
+// instances and re-merges their streams. Each shard is a /v1/campaigns
+// resource on its worker, created and attached exactly as any client
+// would, under an ID that extends the campaign's own. The points are
+// planned into
 // shardsPerWorker shards per fleet member (canonical duplicates
 // co-located, so nothing simulates twice across the fleet) and handed
 // out work-stealing style from a queue: a fast worker simply takes more
@@ -148,8 +150,8 @@ type fanout struct {
 	points  []sdpolicy.Point
 	updates chan<- sdpolicy.PointResult
 	cancel  context.CancelFunc
-	// campaignID propagates on every worker hop (X-Campaign-ID); trace
-	// is the campaign's span recorder, nil unless the client asked.
+	// campaignID prefixes every shard's ID on its worker (shardID);
+	// trace is the campaign's span recorder, nil unless the client asked.
 	campaignID string
 	trace      *traceRecorder
 
@@ -335,12 +337,14 @@ func (c *coordinator) workerLoop(ctx context.Context, workerURL string, st *fano
 	}
 }
 
-// runShard streams one shard through one worker, emitting results as
-// they arrive. It returns the job's unresolved remainder, the error
-// that ended the attempt, and the verdict: whether the error indicts
-// the worker (dead or merely refusing work — retryable elsewhere)
-// rather than the campaign (deterministic, so retrying would reproduce
-// it).
+// runShard runs one shard as a campaign resource on one worker,
+// emitting results as they stream. It returns the job's unresolved
+// remainder, the error that ended the attempt, and the verdict: whether
+// the error indicts the worker (dead or merely refusing work —
+// retryable elsewhere) rather than the campaign (deterministic, so
+// retrying would reproduce it). A shard that ends before its terminal
+// frame — the campaign cancelled, the stream cut — is DELETEd on the
+// worker, so it stops simulating points nobody will read.
 func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJob, st *fanout, wantReports bool) (remaining shardJob, err error, verdict shardVerdict) {
 	got := make([]*sdpolicy.Result, len(job.positions))
 	missing := func() shardJob {
@@ -356,83 +360,128 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 	for i, pos := range job.positions {
 		pts[i] = st.points[pos]
 	}
-	needFrames := wantReports || (c.warmCache && c.engine != nil)
-	resp, err := postCampaign(ctx, c.client, workerURL, pts, needFrames, st.campaignID)
+	body, err := json.Marshal(struct {
+		Points  []sdpolicy.Point `json:"points"`
+		Reports bool             `json:"reports,omitempty"`
+	}{pts, wantReports || (c.warmCache && c.engine != nil)})
 	if err != nil {
-		return job, fmt.Errorf("worker %s: %w", workerURL, err), verdictDead
+		return job, err, verdictFatal
+	}
+	id, err := createResource(ctx, c.client, workerURL, "/v1/campaigns", shardID(st.campaignID), body)
+	if err != nil {
+		return job, fmt.Errorf("worker %w", err), workerVerdict(err)
+	}
+	terminal := false
+	defer func() {
+		if !terminal {
+			c.cancelShard(workerURL, id)
+		}
+	}()
+	resp, err := attachStream(ctx, c.client, workerURL, "/v1/campaigns", id, 0)
+	if err != nil {
+		return job, fmt.Errorf("worker %w", err), workerVerdict(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// A 400 is deterministic — every worker would reject the same
-		// points — so it fails the campaign. 429/503 mean the worker is
-		// up but refusing work (slot exhaustion, shutdown drain): requeue
-		// and keep probing, it usually clears in seconds. Anything else
-		// (5xx, proxies) retires the worker to the prober.
-		err := fmt.Errorf("worker %w", readError(workerURL, resp))
-		switch resp.StatusCode {
-		case http.StatusBadRequest:
-			return job, err, verdictFatal
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			return job, err, verdictTransient
-		default:
-			return job, err, verdictDead
-		}
-	}
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var ev workerEvent
-		if derr := dec.Decode(&ev); derr != nil {
+		var f streamFrame
+		if derr := dec.Decode(&f); derr != nil {
 			return missing(), fmt.Errorf("worker %s: stream ended early: %w", workerURL, derr), verdictDead
 		}
-		switch ev.kind() {
-		case evResult:
-			local := *ev.Index
-			if local < 0 || local >= len(job.positions) || ev.Result == nil {
-				return missing(), fmt.Errorf("worker %s: malformed result line (index %d of %d points)",
+		switch {
+		case f.Index != nil:
+			local := *f.Index
+			if local < 0 || local >= len(job.positions) || f.Result == nil {
+				return missing(), fmt.Errorf("worker %s: malformed result frame (index %d of %d points)",
 					workerURL, local, len(job.positions)), verdictDead
 			}
 			if got[local] != nil {
 				continue
 			}
-			got[local] = ev.Result
-			st.emit(ctx, job.positions[local], ev.Result)
-		case evReport:
+			got[local] = f.Result
+			st.emit(ctx, job.positions[local], f.Result)
+		case f.ReportFor != nil:
 			// Negotiated per-job report frame for an already-delivered
 			// result. Warming and relaying are both best-effort: a
 			// malformed or orphaned frame is dropped, never fatal — the
 			// results themselves are what correctness rides on. The
 			// converse loss exists too: a worker that crashes between a
-			// result line and its report frame leaves that point
+			// result frame and its report frame leaves that point
 			// delivered-but-unwarmed (it is excluded from requeues), so
 			// the spill can lack entries after an abrupt worker death —
 			// a later local run just re-simulates those points.
-			local := *ev.ReportFor
-			if local < 0 || local >= len(job.positions) || got[local] == nil || len(ev.Report) == 0 {
+			local := *f.ReportFor
+			if local < 0 || local >= len(job.positions) || got[local] == nil || len(f.Report) == 0 {
 				continue
 			}
 			pos := job.positions[local]
 			if c.warmCache && c.engine != nil {
-				c.engine.PrimeProxied(st.points[pos], got[local], ev.Report)
+				c.engine.PrimeProxied(st.points[pos], got[local], f.Report)
 			}
 			if wantReports {
-				st.emitReport(ctx, pos, ev.Report)
+				st.emitReport(ctx, pos, f.Report)
 			}
-		case evTrace:
-			// Unrequested trace summary from the worker: skip, the
-			// coordinator assembles its own spans.
-		case evDone:
+		case f.Shutdown != nil && *f.Shutdown:
+			return missing(), fmt.Errorf("worker %s: shutting down", workerURL), verdictDead
+		case f.Done != nil && *f.Done:
+			terminal = true
 			if rem := missing(); len(rem.positions) != 0 {
 				return rem, fmt.Errorf("worker %s: done after %d of %d results",
 					workerURL, len(job.positions)-len(rem.positions), len(job.positions)), verdictDead
 			}
 			return shardJob{}, nil, verdictOK
-		case evShutdown:
-			return missing(), fmt.Errorf("worker %s: shutting down", workerURL), verdictDead
-		case evError:
-			return missing(), fmt.Errorf("worker %s: %s", workerURL, *ev.Error), verdictFatal
-		default:
-			return missing(), fmt.Errorf("worker %s: unrecognised stream line", workerURL), verdictDead
+		case f.Cancelled != nil && *f.Cancelled:
+			// Someone else cancelled the shard on the worker: requeue it.
+			terminal = true
+			return missing(), fmt.Errorf("worker %s: shard %s cancelled", workerURL, id), verdictTransient
+		case f.Error != nil:
+			terminal = true
+			return missing(), fmt.Errorf("worker %s: %s", workerURL, f.Error.Message), verdictFatal
 		}
+	}
+}
+
+// workerVerdict classifies a failed shard create or attach. A 400 is
+// deterministic — every worker would reject the same points — so it
+// fails the campaign. 429/503 mean the worker is up but refusing work
+// (slot exhaustion, shutdown drain, standby): requeue and keep probing,
+// it usually clears in seconds. Anything else (transport errors, 5xx,
+// proxies) retires the worker to the prober.
+func workerVerdict(err error) shardVerdict {
+	switch httpStatus(err) {
+	case http.StatusBadRequest:
+		return verdictFatal
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		return verdictTransient
+	}
+	return verdictDead
+}
+
+// shardID names a shard's resource on its worker: the campaign's ID, a
+// dot, and a random suffix — so worker logs correlate with the
+// campaign while every attempt stays unique across retries, coordinator
+// restarts and failovers. The campaign part is trimmed to keep the
+// whole within maxCampaignIDLen.
+func shardID(campaignID string) string {
+	suffix := newCampaignID()
+	if keep := maxCampaignIDLen - len(suffix) - 1; len(campaignID) > keep {
+		campaignID = campaignID[:keep]
+	}
+	return campaignID + "." + suffix
+}
+
+// cancelShard DELETEs an abandoned shard resource. Best-effort: a dead
+// worker has nothing left to cancel.
+func (c *coordinator) cancelShard(workerURL, id string) {
+	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, workerURL+"/v1/campaigns/"+id, nil)
+	if err != nil {
+		return
+	}
+	if resp, err := c.client.Do(req); err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}
 }
 

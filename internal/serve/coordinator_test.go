@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,7 +33,7 @@ const coordCampaignBody = `{"points":[
 // coordReferenceResults runs the same campaign on a local engine.
 func coordReferenceResults(t *testing.T) []*sdpolicy.Result {
 	t.Helper()
-	var req CampaignRequest
+	var req CreateCampaignRequest
 	if err := json.Unmarshal([]byte(coordCampaignBody), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -88,36 +90,32 @@ func startCoordinatorCfg(t *testing.T, cfg CoordinatorConfig) (*httptest.Server,
 	return srv, s
 }
 
-// runCoordinatorCampaign posts the fixed campaign and returns the
-// per-position results, asserting stream shape: each index exactly
-// once, then one done terminal.
+// runCoordinatorCampaign runs the fixed campaign and returns the
+// per-position results.
 func runCoordinatorCampaign(t *testing.T, url string) []*sdpolicy.Result {
 	t.Helper()
-	resp := postJSON(t, url+"/v1/campaign", coordCampaignBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	return runCampaign(t, url, coordCampaignBody, 6)
+}
+
+// runCampaign creates a campaign of n points and returns the
+// per-position results, asserting the stream's shape: each index
+// exactly once, then one done frame counting n points.
+func runCampaign(t *testing.T, url, body string, n int) []*sdpolicy.Result {
+	t.Helper()
+	frames := campaignFrames(t, url, "", body)
+	last := frames[len(frames)-1]
+	if !last.done() || last.Points != n {
+		t.Fatalf("terminal frame %+v, want done with %d points", last, n)
 	}
-	lines := decodeLines(t, bufio.NewScanner(resp.Body))
-	if len(lines) == 0 {
-		t.Fatal("empty stream")
-	}
-	last := lines[len(lines)-1]
-	if !last.Done || last.Error != "" {
-		t.Fatalf("terminal line %+v, want done", last)
-	}
-	const points = 6
-	if last.Points != points {
-		t.Fatalf("terminal counts %d points, want %d", last.Points, points)
-	}
-	results := make([]*sdpolicy.Result, points)
-	for _, l := range lines[:len(lines)-1] {
-		if l.Index == nil || l.Result == nil {
-			t.Fatalf("malformed result line %+v", l)
+	results := make([]*sdpolicy.Result, n)
+	for _, f := range frames[:len(frames)-1] {
+		if f.Index == nil || f.Result == nil {
+			t.Fatalf("malformed result frame %+v", f)
 		}
-		if results[*l.Index] != nil {
-			t.Fatalf("index %d streamed twice", *l.Index)
+		if results[*f.Index] != nil {
+			t.Fatalf("index %d streamed twice", *f.Index)
 		}
-		results[*l.Index] = l.Result
+		results[*f.Index] = f.Result
 	}
 	for i, r := range results {
 		if r == nil {
@@ -125,6 +123,15 @@ func runCoordinatorCampaign(t *testing.T, url string) []*sdpolicy.Result {
 		}
 	}
 	return results
+}
+
+// expectErrorFrame asserts a campaign stream that is exactly one
+// terminal error frame.
+func expectErrorFrame(t *testing.T, frames []testFrame) {
+	t.Helper()
+	if len(frames) != 1 || frames[0].Error == nil || frames[0].Seq != 1 {
+		t.Fatalf("frames %+v, want a single terminal error", frames)
+	}
 }
 
 func assertResultsMatch(t *testing.T, got, want []*sdpolicy.Result) {
@@ -157,8 +164,8 @@ func TestCoordinatorSurvivesDeadWorker(t *testing.T) {
 }
 
 // cutAfterFirstResult wraps a worker's ResponseWriter and kills the
-// connection right after the first streamed result line — the
-// mid-campaign worker crash.
+// connection right after the first streamed frame — the mid-campaign
+// worker crash.
 type cutAfterFirstResult struct {
 	http.ResponseWriter
 	lines int
@@ -190,16 +197,19 @@ func (c *cutAfterFirstResult) Flush() {
 func TestCoordinatorSurvivesMidStreamWorkerCrash(t *testing.T) {
 	urls := startWorkers(t, 2)
 	flakyInner := New(sdpolicy.NewEngine(2, 64), 4).Handler()
-	var flakyHits atomic.Int64
+	var flakyShards atomic.Int64
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		flakyHits.Add(1)
-		flakyInner.ServeHTTP(&cutAfterFirstResult{ResponseWriter: w}, r)
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/campaigns/") {
+			flakyShards.Add(1)
+			w = &cutAfterFirstResult{ResponseWriter: w}
+		}
+		flakyInner.ServeHTTP(w, r)
 	}))
 	t.Cleanup(flaky.Close)
 	coord := startCoordinator(t, append(urls, flaky.URL))
 	assertResultsMatch(t, runCoordinatorCampaign(t, coord.URL), coordReferenceResults(t))
-	if flakyHits.Load() != 1 {
-		t.Fatalf("crashed worker was contacted %d times, want exactly 1 (marked dead after the crash)", flakyHits.Load())
+	if flakyShards.Load() != 1 {
+		t.Fatalf("crashed worker streamed %d shards, want exactly 1 (marked dead after the crash)", flakyShards.Load())
 	}
 }
 
@@ -209,11 +219,7 @@ func TestCoordinatorAllWorkersDead(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	dead.Close()
 	coord := startCoordinator(t, []string{dead.URL})
-	resp := postJSON(t, coord.URL+"/v1/campaign", coordCampaignBody)
-	lines := decodeLines(t, bufio.NewScanner(resp.Body))
-	if len(lines) != 1 || lines[0].Error == "" {
-		t.Fatalf("lines %+v, want a single terminal error", lines)
-	}
+	expectErrorFrame(t, campaignFrames(t, coord.URL, "", coordCampaignBody))
 }
 
 // TestCoordinatorPropagatesDeterministicErrors: a failure every worker
@@ -222,15 +228,7 @@ func TestCoordinatorAllWorkersDead(t *testing.T) {
 func TestCoordinatorPropagatesDeterministicErrors(t *testing.T) {
 	urls := startWorkers(t, 2)
 	coord := startCoordinator(t, urls)
-	resp := postJSON(t, coord.URL+"/v1/campaign",
-		`{"points":[{"workload":"wl-nope","options":{}}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d (error should arrive in-band)", resp.StatusCode)
-	}
-	lines := decodeLines(t, bufio.NewScanner(resp.Body))
-	if len(lines) != 1 || lines[0].Error == "" {
-		t.Fatalf("lines %+v, want a single terminal error", lines)
-	}
+	expectErrorFrame(t, campaignFrames(t, coord.URL, "", `{"points":[{"workload":"wl-nope","options":{}}]}`))
 }
 
 // TestCoordinatorHealthListsPeers: /healthz advertises the fleet with
@@ -274,9 +272,60 @@ func TestEnableCoordinatorRejectsBadURLs(t *testing.T) {
 		}
 	}
 	coord, _ := startCoordinatorCfg(t, CoordinatorConfig{ProbeInterval: time.Hour})
-	resp := postJSON(t, coord.URL+"/v1/campaign", coordCampaignBody)
-	lines := decodeLines(t, bufio.NewScanner(resp.Body))
-	if len(lines) != 1 || lines[0].Error == "" {
-		t.Fatalf("campaign on an empty fleet: lines %+v, want a single terminal error", lines)
+	expectErrorFrame(t, campaignFrames(t, coord.URL, "", coordCampaignBody))
+}
+
+// TestCoordinatorCancelPropagatesToShards: DELETE on a coordinator
+// campaign cancels the shard resources it has in flight on its workers,
+// so the worker stops simulating points nobody will read.
+func TestCoordinatorCancelPropagatesToShards(t *testing.T) {
+	engine := sdpolicy.NewEngine(1, 0) // sequential: shards take seconds
+	inner := New(engine, 4).Handler()
+	var mu sync.Mutex
+	var shards []string
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/campaigns" {
+			mu.Lock()
+			shards = append(shards, r.Header.Get("X-Campaign-ID"))
+			mu.Unlock()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
+	coord := startCoordinator(t, []string{worker.URL})
+
+	const points = 10
+	id := createCampaign(t, coord.URL, "cxl-fleet", slowPointsBody(points, 1, 0.5))
+	resp, err := http.Get(coord.URL + "/v1/campaigns/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if !bufio.NewScanner(resp.Body).Scan() {
+		t.Fatal("no first result")
+	}
+	if code := deleteCampaign(t, coord.URL, id); code != http.StatusAccepted {
+		t.Fatalf("DELETE: status %d", code)
+	}
+	waitCampaignState(t, coord.URL, id, campaignCancelled)
+
+	mu.Lock()
+	ids := append([]string(nil), shards...)
+	mu.Unlock()
+	cancelled := 0
+	for _, shard := range ids {
+		if !strings.HasPrefix(shard, id+".") {
+			t.Fatalf("worker-side ID %q lacks the campaign prefix %q", shard, id+".")
+		}
+		switch st := waitCampaignState(t, worker.URL, shard, campaignDone, campaignCancelled); st.State {
+		case campaignCancelled:
+			cancelled++
+		}
+	}
+	if cancelled == 0 {
+		t.Fatalf("no shard of %v was cancelled on the worker", ids)
+	}
+	if _, misses := engine.CacheStats(); misses >= points {
+		t.Fatalf("worker simulated all %d points despite the cancel", misses)
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -212,16 +210,6 @@ func TestDeadWorkerProbedBackIntoRotation(t *testing.T) {
 	}
 }
 
-// slowCampaignBody builds a campaign of n distinct multi-hundred-ms
-// points so mid-campaign fleet changes land while work remains queued.
-func slowCampaignBody(n int) string {
-	specs := make([]string, n)
-	for i := range specs {
-		specs[i] = fmt.Sprintf(`{"workload":"wl1","scale":0.25,"seed":%d,"options":{"policy":"sd","max_slowdown":10}}`, i+1)
-	}
-	return `{"points":[` + strings.Join(specs, ",") + `]}`
-}
-
 // TestJoinerAfterPlanningStealsQueuedShards: a worker that registers
 // after the campaign was planned (fine-grained shards, one static
 // worker) picks up queued shards mid-flight — the work-stealing half
@@ -237,22 +225,22 @@ func TestJoinerAfterPlanningStealsQueuedShards(t *testing.T) {
 	})
 
 	const points = 10
-	resp := postJSON(t, coord.URL+"/v1/campaign", slowCampaignBody(points))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	id := createCampaign(t, coord.URL, "", slowPointsBody(points, 1, 0.25))
+	resp, err := http.Get(coord.URL + "/v1/campaigns/" + id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatalf("no first result: %v", sc.Err())
+	defer resp.Body.Close()
+	if !bufio.NewScanner(resp.Body).Scan() {
+		t.Fatal("no first result")
 	}
 	// Campaign is in flight with shards still queued (10 sequential
 	// slow points, first one just landed): the joiner announces itself
 	// and must start stealing immediately.
 	registerWorker(t, coord.URL, joiner.srv.URL, 0)
-	lines := decodeLines(t, sc)
-	last := lines[len(lines)-1]
-	if !last.Done || last.Points != points {
-		t.Fatalf("terminal line %+v, want done with %d points", last, points)
+	st := waitCampaignState(t, coord.URL, id, campaignDone)
+	if st.Completed != points {
+		t.Fatalf("terminal status %+v, want %d points", st, points)
 	}
 	if joiner.misses() == 0 {
 		t.Fatal("mid-campaign joiner never stole a shard")
@@ -274,7 +262,7 @@ func TestTransientStatusRequeuesWithoutRetiring(t *testing.T) {
 		busyMu.Lock()
 		b := busy
 		busyMu.Unlock()
-		if b && r.URL.Path == "/v1/campaign" {
+		if b && r.Method == http.MethodPost && r.URL.Path == "/v1/campaigns" {
 			http.Error(w, "no free slots", http.StatusServiceUnavailable)
 			return
 		}
@@ -318,7 +306,7 @@ func TestSingleWorkerTransient503Recovers(t *testing.T) {
 		busyMu.Lock()
 		b := busy
 		busyMu.Unlock()
-		if b && r.URL.Path == "/v1/campaign" {
+		if b && r.Method == http.MethodPost && r.URL.Path == "/v1/campaigns" {
 			http.Error(w, "no free slots", http.StatusServiceUnavailable)
 			return
 		}
@@ -379,21 +367,17 @@ func TestHeartbeatLeaseExpiryDropsWorker(t *testing.T) {
 	waitPeerCount(t, coord.URL, 0)
 }
 
-// TestWorkerReportFrames: ?reports=1 negotiates one report frame per
-// result on a plain worker stream, and its payload restores a Result
-// whose per-job report works (Daily has rows); without the param the
-// stream is unchanged.
+// TestWorkerReportFrames: the reports create option adds one report
+// frame per result on a plain worker stream, and its payload restores a
+// Result whose per-job report works (Daily has rows); without the
+// option the stream carries no report frames.
 func TestWorkerReportFrames(t *testing.T) {
 	srv := testServer(t)
-	body := `{"points":[
+	const points = `"points":[
 		{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"static"}},
 		{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"sd","max_slowdown":10}}
-	]}`
-	resp := postJSON(t, srv.URL+"/v1/campaign?reports=1", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	lines := decodeLines(t, bufio.NewScanner(resp.Body))
+	]`
+	lines := campaignFrames(t, srv.URL, "", `{`+points+`,"reports":true}`)
 	var results, reports int
 	for _, l := range lines {
 		switch {
@@ -416,12 +400,11 @@ func TestWorkerReportFrames(t *testing.T) {
 	if results != 2 || reports != 2 {
 		t.Fatalf("%d results, %d report frames; want 2 and 2", results, reports)
 	}
-	if last := lines[len(lines)-1]; !last.Done || last.Points != 2 {
-		t.Fatalf("terminal line %+v", last)
+	if last := lines[len(lines)-1]; !last.done() || last.Points != 2 {
+		t.Fatalf("terminal frame %+v", last)
 	}
 
-	resp2 := postJSON(t, srv.URL+"/v1/campaign", body)
-	for _, l := range decodeLines(t, bufio.NewScanner(resp2.Body)) {
+	for _, l := range campaignFrames(t, srv.URL, "", `{`+points+`}`) {
 		if l.ReportFor != nil {
 			t.Fatalf("unsolicited report frame: %+v", l)
 		}
@@ -457,7 +440,7 @@ func TestCoordinatorWarmCacheSpill(t *testing.T) {
 	if err := local.LoadCache(spill); err != nil {
 		t.Fatal(err)
 	}
-	var req CampaignRequest
+	var req CreateCampaignRequest
 	if err := json.Unmarshal([]byte(coordCampaignBody), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -481,16 +464,16 @@ func TestCoordinatorWarmCacheSpill(t *testing.T) {
 }
 
 // TestRemoteCampaignWarmsLocalCache drives the sdexp -server
-// -cache-dir path through a coordinator: RunRemoteCampaign with report
-// negotiation, Engine.Prime per frame, then a local replay with zero
-// misses — proving the frames relay through the coordinator, not just
-// off a single worker.
+// -cache-dir path through a coordinator: RunDurableCampaign with report
+// frames, Engine.Prime per frame, then a local replay with zero misses
+// — proving the frames relay through the coordinator, not just off a
+// single worker.
 func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 	coord, _ := startCoordinatorCfg(t, CoordinatorConfig{
 		Workers:       startWorkers(t, 2),
 		ProbeInterval: time.Hour,
 	})
-	var req CampaignRequest
+	var req CreateCampaignRequest
 	if err := json.Unmarshal([]byte(coordCampaignBody), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +483,7 @@ func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 	}
 	local := sdpolicy.NewEngine(2, 64)
 	got := make(map[int]*sdpolicy.Result, len(points))
-	err = RunRemoteCampaign(context.Background(), nil, coord.URL, points, true,
+	err = RunDurableCampaign(context.Background(), nil, []string{coord.URL}, points, true,
 		func(index int, res *sdpolicy.Result, report json.RawMessage) error {
 			if res != nil {
 				got[index] = res
@@ -548,10 +531,15 @@ func BenchmarkCoordinatorFanout(b *testing.B) {
 	coord := httptest.NewServer(s.Handler())
 	b.Cleanup(coord.Close)
 
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(coord.URL+"/v1/campaign", "application/json",
-			strings.NewReader(coordCampaignBody))
+		id, err := createResource(ctx, http.DefaultClient, coord.URL, "/v1/campaigns",
+			newCampaignID(), []byte(coordCampaignBody))
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := attachStream(ctx, http.DefaultClient, coord.URL, "/v1/campaigns", id, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -559,8 +547,5 @@ func BenchmarkCoordinatorFanout(b *testing.B) {
 			b.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("status %d", resp.StatusCode)
-		}
 	}
 }

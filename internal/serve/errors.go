@@ -15,10 +15,9 @@ import "net/http"
 // juggling several campaigns can attribute the failure without parsing
 // the message.
 //
-// In-band stream frames are a different layer: the deprecated
-// /v1/campaign alias keeps its historical {"error":"..."} terminal
-// line byte-for-byte, while /v1/campaigns/{id} streams carry the
-// ErrorDetail object inside their terminal error frame.
+// In-band stream frames carry the same ErrorDetail object: in a
+// terminal error frame ({"seq":N,"error":{...}}) and in the shutdown
+// frame that ends an attach when the server goes away.
 
 // ErrorDetail is the envelope payload.
 type ErrorDetail struct {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"sdpolicy"
 	"sdpolicy/internal/journal"
@@ -157,7 +156,7 @@ func (s *Server) handleExperimentCreate(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	id := canonicalCampaignID(r.Header.Get("X-Campaign-ID"))
-	cs := newCampaignState(id, inst.Points(), d.NeedsReports)
+	cs := newCampaignState(id, inst.Points(), d.NeedsReports, false)
 	cs.experiment = d.Name
 	cs.expParams = params
 	if !s.resources.add(cs) {
@@ -362,19 +361,8 @@ func (es *expStream) fold(f frame) bool {
 // from the beginning — the reducer needs every result — and applies the
 // cursor to the derived row stream it produces.
 func (s *Server) handleExperimentAttach(w http.ResponseWriter, r *http.Request, id string) {
-	q := r.URL.Query()
-	var from uint64
-	if v := q.Get("from"); v != "" {
-		var err error
-		if from, err = strconv.ParseUint(v, 10, 32); err != nil {
-			writeCampaignError(w, http.StatusBadRequest, id,
-				fmt.Errorf("bad ?from=%q: want a row sequence number", v))
-			return
-		}
-	}
-	sse, err := wantsSSE(r, q.Get("format"))
-	if err != nil {
-		writeCampaignError(w, http.StatusBadRequest, id, err)
+	from, sse, ok := attachParams(w, r, id)
+	if !ok {
 		return
 	}
 	cs := s.lookupExperiment(w, id)
@@ -396,45 +384,6 @@ func (s *Server) handleExperimentAttach(w http.ResponseWriter, r *http.Request, 
 	mCampaignAttaches.Inc()
 	w.Header().Set("X-Campaign-ID", id)
 	es := &expStream{cs: cs, inst: inst, st: newStreamWriter(w, sse), from: from}
-	i := 0
-	for {
-		cs.mu.Lock()
-		for i < len(cs.frames) {
-			f := cs.frames[i]
-			i++
-			cs.mu.Unlock()
-			if es.fold(f) {
-				return
-			}
-			cs.mu.Lock()
-		}
-		if cs.state != campaignRunning {
-			// Terminal state without having seen a terminal frame can only
-			// mean the loop started past it; the fold above otherwise
-			// returns on the terminal frame itself.
-			cs.mu.Unlock()
-			return
-		}
-		wake := cs.wake
-		cs.mu.Unlock()
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		case <-s.shutdown:
-			// Fold whatever appended concurrently, then tell the client
-			// this stream (not the experiment) is over.
-			cs.mu.Lock()
-			avail := cs.frames[i:len(cs.frames):len(cs.frames)]
-			i = len(cs.frames)
-			cs.mu.Unlock()
-			for _, f := range avail {
-				if es.fold(f) {
-					return
-				}
-			}
-			es.st.event("shutdown", CampaignShutdown{Shutdown: true, Error: "server shutting down"})
-			return
-		}
-	}
+	s.follow(r.Context(), es.st, cs, 0, es.fold)
+	es.st.flush()
 }

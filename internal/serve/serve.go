@@ -6,9 +6,6 @@
 // Endpoints:
 //
 //	POST /v1/simulate  one simulation point  -> the full Result
-//	POST /v1/sweep     deprecated alias of the sweep_maxsd experiment:
-//	                   Figures 1-3 campaign -> normalised SweepRows,
-//	                   byte-compatible, with Deprecation + Link headers
 //	GET  /v1/experiments          list the experiment registry with
 //	                              parameter descriptions
 //	POST /v1/experiments          create an experiment resource (body
@@ -20,14 +17,12 @@
 //	DELETE /v1/experiments/{id}   cancel the experiment's campaign
 //	POST /v1/campaigns            create a campaign resource -> 201 +
 //	                              Location; runs detached from any client
+//	                              (reports/trace options add frames)
 //	GET  /v1/campaigns/{id}       attach to (or resume, ?from=<seq>) the
 //	                              campaign's stream (SSE or NDJSON)
 //	GET  /v1/campaigns/{id}/status  compact JSON progress
 //	DELETE /v1/campaigns/{id}     cancel the campaign
-//	POST /v1/campaign  deprecated request-scoped alias: streamed
-//	                   per-point results + terminal event, byte-
-//	                   compatible with pre-resource clients;
-//	                   ?reports=1 adds per-job report frames
+//	GET  /v1/workloads[/{ref}]    list / describe addressable workloads
 //	POST /v1/workers/register    announce a worker to a coordinator's
 //	                             fleet / renew its heartbeat lease
 //	POST /v1/workers/deregister  remove a registered worker
@@ -36,21 +31,23 @@
 //
 // Error replies on every /v1/* endpoint share the JSON envelope
 // {"error":{"code","message","campaign_id"}} (see errors.go).
-// With EnableJournal the campaign resources are write-ahead journaled
-// (resumable across restarts and coordinator failover — campaigns.go);
-// until Activate is called such an instance is a standby and refuses
-// campaign work with 503.
+// /v1/campaigns is the one campaign protocol: clients create and attach
+// to resources, and a coordinator drives each shard the same way on its
+// workers (coordinator.go). With EnableJournal the campaign resources
+// are write-ahead journaled (resumable across restarts and coordinator
+// failover — campaigns.go); until Activate is called such an instance
+// is a standby and refuses campaign work with 503.
 //
 // Every simulation goes through one shared Engine, so concurrent
 // requests for the same canonical point coalesce into a single run and
 // repeated requests are served from the result cache. A semaphore
-// bounds the number of requests simulating at once; excess requests
-// queue until a slot frees or the client gives up while still waiting.
-// A client disconnect cancels the request's campaign — including the
-// simulation point currently in flight, which aborts at its next
-// event-loop checkpoint — so the slot frees within milliseconds rather
-// than after the point completes. BeginShutdown ends open streams with
-// a terminal shutdown event instead of cutting the connection.
+// bounds the number of simulate requests and campaign runners
+// simulating at once; the excess queues until a slot frees. DELETE on
+// a campaign cancels it — including the simulation point in flight,
+// which aborts at its next event-loop checkpoint — so the slot frees
+// within milliseconds rather than after the point completes.
+// BeginShutdown ends open streams with a shutdown frame instead of
+// cutting the connection.
 package serve
 
 import (
@@ -72,18 +69,18 @@ import (
 // Server handles the sdserve API on top of a shared campaign engine.
 type Server struct {
 	engine *sdpolicy.Engine
-	// slots bounds in-flight simulating requests (not connections):
-	// acquire to simulate, release when done.
+	// slots bounds in-flight simulate requests and campaign runners
+	// (not connections): acquire to simulate, release when done.
 	slots chan struct{}
-	// campaigns counts /v1/campaign requests currently streaming,
-	// reported by /healthz.
+	// campaigns counts campaign runners holding a slot, reported by
+	// /healthz.
 	campaigns atomic.Int64
 	// shutdown is closed by BeginShutdown so streaming handlers can
 	// finish their response with a terminal event.
 	shutdown     chan struct{}
 	shutdownOnce sync.Once
-	// coord, when non-nil, makes /v1/campaign fan out to a fleet of
-	// worker sdserve instances instead of the local engine.
+	// coord, when non-nil, makes campaigns fan out to a fleet of worker
+	// sdserve instances instead of the local engine.
 	coord *coordinator
 	// resources is the campaign resource registry behind /v1/campaigns;
 	// journal, when non-nil, makes those resources durable. active
@@ -141,17 +138,17 @@ type CoordinatorConfig struct {
 	WarmCache bool
 }
 
-// EnableCoordinator switches /v1/campaign to coordinator mode: rather
-// than simulating locally, campaigns are planned into fine-grained
-// shards (ShardsPerWorker per fleet member), handed out work-stealing
-// style to the worker fleet over the streaming wire form, and re-merged
-// — with a failed worker's unresolved points requeued and the worker
-// itself health-probed back into rotation, so a restart is absorbed
-// instead of permanent. It also enables the dynamic registration API
+// EnableCoordinator switches campaigns (and the experiments built on
+// them) to coordinator mode: rather than simulating locally, campaigns
+// are planned into fine-grained shards (ShardsPerWorker per fleet
+// member), each created as a /v1/campaigns resource on a worker taken
+// work-stealing style from the fleet, and re-merged — with a failed
+// worker's unresolved points requeued and the worker itself
+// health-probed back into rotation, so a restart is absorbed instead of
+// permanent. It also enables the dynamic registration API
 // (/v1/workers/register, /v1/workers/deregister) and starts the
-// background prober, which runs until BeginShutdown. The other
-// endpoints (/v1/simulate, /v1/sweep) keep using the local engine.
-// Call before serving requests.
+// background prober, which runs until BeginShutdown. /v1/simulate keeps
+// using the local engine. Call before serving requests.
 func (s *Server) EnableCoordinator(cfg CoordinatorConfig) error {
 	coord, err := newCoordinator(cfg, s.engine)
 	if err != nil {
@@ -171,8 +168,6 @@ func (s *Server) EnableCoordinator(cfg CoordinatorConfig) error {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/simulate", instrument("/v1/simulate", s.handleSimulate))
-	mux.HandleFunc("/v1/sweep", instrument("/v1/sweep", s.handleSweep))
-	mux.HandleFunc("/v1/campaign", instrument("/v1/campaign", s.handleCampaign))
 	mux.HandleFunc("/v1/experiments", instrument("/v1/experiments", s.handleExperiments))
 	mux.HandleFunc("/v1/experiments/{id}", instrument("/v1/experiments/{id}", s.handleExperimentByID))
 	mux.HandleFunc("/v1/workloads", instrument("/v1/workloads", s.handleWorkloads))
@@ -187,10 +182,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// BeginShutdown tells streaming handlers the server is going away:
-// each open /v1/campaign stream cancels its campaign, writes a
-// terminal shutdown event and completes its response, so a subsequent
-// http.Server.Shutdown drains promptly instead of hanging on
+// BeginShutdown tells the campaign plane the server is going away:
+// every campaign runner stops without a terminal frame (so a journaled
+// campaign resumes on the next activation), and each open attach
+// stream writes a shutdown frame and completes its response, so a
+// subsequent http.Server.Shutdown drains promptly instead of hanging on
 // long-lived streams until the grace period cuts them. Safe to call
 // more than once.
 func (s *Server) BeginShutdown() {
@@ -202,55 +198,6 @@ func (s *Server) BeginShutdown() {
 // the static baseline under the ideal model; MalleableFraction, when
 // present, re-flags that fraction of jobs malleable before simulating.
 type SimulateRequest = sdpolicy.PointSpec
-
-// SweepRequest is the /v1/sweep body: the Figures 1-3 campaign over the
-// given workloads. Scale and Seed default to 1. WorkloadRefs is the
-// unified addressing shape: each ref contributes its workload name,
-// and a ref-level scale/seed is adopted when the request level leaves
-// it defaulted (the sweep is a single campaign, so refs cannot
-// disagree about either). Sweep refs take no derivations.
-type SweepRequest struct {
-	Workloads    []string               `json:"workloads,omitempty"`
-	WorkloadRefs []sdpolicy.WorkloadRef `json:"workload_refs,omitempty"`
-	Scale        float64                `json:"scale"`
-	Seed         uint64                 `json:"seed"`
-}
-
-// resolveSweepWorkloads folds WorkloadRefs into the legacy
-// workloads/scale/seed triple, erroring on shapes the single-campaign
-// sweep cannot express.
-func (req *SweepRequest) resolveSweepWorkloads() error {
-	for i, ref := range req.WorkloadRefs {
-		if err := ref.Validate(); err != nil {
-			return fmt.Errorf("workload_refs[%d]: %w", i, err)
-		}
-		if len(ref.Derivations) != 0 {
-			return fmt.Errorf("workload_refs[%d]: the sweep takes no derivations: %w", i, sdpolicy.ErrBadInput)
-		}
-		if ref.Scale != 0 {
-			if req.Scale != 0 && req.Scale != ref.Scale {
-				return fmt.Errorf("workload_refs[%d]: scale %v conflicts with the sweep scale %v: %w",
-					i, ref.Scale, req.Scale, sdpolicy.ErrBadInput)
-			}
-			req.Scale = ref.Scale
-		}
-		if ref.Seed != 0 {
-			if req.Seed != 0 && req.Seed != ref.Seed {
-				return fmt.Errorf("workload_refs[%d]: seed %d conflicts with the sweep seed %d: %w",
-					i, ref.Seed, req.Seed, sdpolicy.ErrBadInput)
-			}
-			req.Seed = ref.Seed
-		}
-		req.Workloads = append(req.Workloads, ref.WorkloadName())
-	}
-	req.WorkloadRefs = nil
-	return nil
-}
-
-// SweepResponse is the /v1/sweep reply.
-type SweepResponse struct {
-	Rows []sdpolicy.SweepRow `json:"rows"`
-}
 
 // Health is the /healthz reply.
 type Health struct {
@@ -266,9 +213,9 @@ type Health struct {
 	// "standby" while waiting to adopt it. Absent without -journal-dir.
 	Role    string `json:"role,omitempty"`
 	Workers int    `json:"workers"`
-	// InFlight is how many requests currently hold a simulation slot;
-	// CampaignsInFlight how many of them are streaming /v1/campaign
-	// responses.
+	// InFlight is how many requests and campaign runners currently hold
+	// a simulation slot; CampaignsInFlight how many of them are campaign
+	// runners.
 	InFlight          int    `json:"in_flight"`
 	CampaignsInFlight int64  `json:"campaigns_in_flight"`
 	CacheHits         uint64 `json:"cache_hits"`
@@ -278,13 +225,6 @@ type Health struct {
 	// counts, last error, and remaining heartbeat lease — when this
 	// instance runs as a campaign coordinator; empty otherwise.
 	Peers []PeerStatus `json:"peers,omitempty"`
-}
-
-// apiError is the deprecated /v1/campaign alias's in-band terminal
-// error frame ({"error":"..."}), kept byte-compatible; HTTP-level
-// errors use the ErrorEnvelope in errors.go instead.
-type apiError struct {
-	Error string `json:"error"`
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -307,36 +247,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	// Frozen as a byte-compatible alias of the sweep_maxsd experiment;
-	// new clients should create the experiment resource instead.
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/experiments>; rel="successor-version"`)
-	var req SweepRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if err := req.resolveSweepWorkloads(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Workloads) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("missing workloads"))
-		return
-	}
-	applyDefaults(&req.Scale, &req.Seed)
-	if !s.acquire(w, r.Context()) {
-		return
-	}
-	defer s.release()
-	rows, err := s.engine.SweepMaxSD(r.Context(), req.Workloads, req.Scale, req.Seed)
-	if err != nil {
-		writeError(w, statusFor(r.Context(), err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SweepResponse{Rows: rows})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -428,15 +338,6 @@ func statusFor(ctx context.Context, err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
-}
-
-func applyDefaults(scale *float64, seed *uint64) {
-	if *scale == 0 {
-		*scale = 1
-	}
-	if *seed == 0 {
-		*seed = 1
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

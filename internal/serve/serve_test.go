@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -103,21 +104,24 @@ func TestSimulateMalleableFraction(t *testing.T) {
 	}
 }
 
+// TestSweepEndpoint: the Figures 1-3 sweep is the sweep_maxsd
+// experiment resource, agreeing exactly with the library path.
 func TestSweepEndpoint(t *testing.T) {
 	srv := testServer(t)
-	resp := postJSON(t, srv.URL+"/v1/sweep", `{"workloads":["wl5"],"scale":0.15,"seed":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	raw, err := RunRemoteExperiment(context.Background(), nil, []string{srv.URL}, "sweep_maxsd",
+		map[string]any{"workloads": []string{"wl5"}, "scale": 0.15, "seed": 1}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var sr SweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	var got []sdpolicy.SweepRow
+	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
 	want := len(sdpolicy.MaxSDVariants())
-	if len(sr.Rows) != want {
-		t.Fatalf("%d rows, want %d", len(sr.Rows), want)
+	if len(got) != want {
+		t.Fatalf("%d rows, want %d", len(got), want)
 	}
-	for _, row := range sr.Rows {
+	for _, row := range got {
 		if row.Workload != "wl5" || row.AvgSlowdown <= 0 {
 			t.Fatalf("bad row: %+v", row)
 		}
@@ -128,8 +132,20 @@ func TestSweepEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range rows {
-		if rows[i] != sr.Rows[i] {
-			t.Fatalf("row %d: HTTP %+v != library %+v", i, sr.Rows[i], rows[i])
+		if rows[i] != got[i] {
+			t.Fatalf("row %d: HTTP %+v != library %+v", i, got[i], rows[i])
+		}
+	}
+}
+
+// TestRemovedAliases404: the request-scoped campaign alias and the
+// sweep shortcut are gone; /v1/campaigns and the sweep_maxsd experiment
+// replace them.
+func TestRemovedAliases404(t *testing.T) {
+	srv := testServer(t)
+	for _, path := range []string{"/v1/campaign", "/v1/sweep"} {
+		if resp := postJSON(t, srv.URL+path, `{}`); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 }
@@ -148,7 +164,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/v1/simulate", `{"workload":"wl1","bogus":1}`, http.StatusBadRequest},
 		{"fraction above 1", "/v1/simulate", `{"workload":"wl1","scale":0.1,"malleable_fraction":2}`, http.StatusBadRequest},
 		{"negative fraction", "/v1/simulate", `{"workload":"wl1","scale":0.1,"malleable_fraction":-0.5}`, http.StatusBadRequest},
-		{"missing workloads", "/v1/sweep", `{"scale":0.1}`, http.StatusBadRequest},
+		{"missing workloads", "/v1/experiments", `{"experiment":"sweep_maxsd","params":{"workloads":[]}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

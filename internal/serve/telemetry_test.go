@@ -1,8 +1,7 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -39,12 +38,8 @@ func scrape(t *testing.T, url string) string {
 // every instrumented layer: sim kernel, campaign engine, LRU, HTTP.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
-	resp := postJSON(t, srv.URL+"/v1/campaign",
+	campaignFrames(t, srv.URL, "",
 		`{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"static"}}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("campaign status %d", resp.StatusCode)
-	}
-	io.Copy(io.Discard, resp.Body)
 
 	mr, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -63,8 +58,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"campaign_cache_misses_total",
 		"campaign_point_seconds_bucket",
 		"lru_misses_total",
-		`http_requests_total{route="/v1/campaign",code="200"}`,
-		`http_request_seconds_bucket{route="/v1/campaign",le="+Inf"}`,
+		`http_requests_total{route="/v1/campaigns",code="201"}`,
+		`http_requests_total{route="/v1/campaigns/{id}",code="200"}`,
+		`http_request_seconds_bucket{route="/v1/campaigns/{id}",le="+Inf"}`,
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("exposition missing %q", series)
@@ -91,12 +87,18 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		body := `{"points":[
+		body := []byte(`{"points":[
 			{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"static"}},
 			{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"sd","max_slowdown":10}},
 			{"workload":"wl5","scale":0.15,"seed":2,"options":{"policy":"sd"}}
-		]}`
-		resp, err := http.Post(srv.URL+"/v1/campaign", "application/json", bytes.NewReader([]byte(body)))
+		]}`)
+		ctx := context.Background()
+		id, err := createResource(ctx, http.DefaultClient, srv.URL, "/v1/campaigns", "scrape", body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := attachStream(ctx, http.DefaultClient, srv.URL, "/v1/campaigns", id, 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -129,25 +131,16 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	wg.Wait()
 }
 
-// traceLine decodes any /v1/campaign NDJSON line including the ?trace=1
-// summary frame.
-type traceLine struct {
-	Index      *int        `json:"index"`
-	Done       bool        `json:"done"`
-	Error      string      `json:"error"`
-	Trace      bool        `json:"trace"`
-	CampaignID string      `json:"campaign_id"`
-	DurationMS float64     `json:"duration_ms"`
-	Points     int         `json:"points"`
-	Shards     []ShardSpan `json:"shards"`
-	Peers      []PeerTrace `json:"peers"`
+// withTrace adds the trace create option to a campaign body.
+func withTrace(body string) string {
+	return strings.TrimSuffix(strings.TrimSpace(body), "}") + `,"trace":true}`
 }
 
-// postCampaignWithID posts body to url with the given X-Campaign-ID
-// header (omitted when empty) and ?trace=1, returning the response.
-func postCampaignWithID(t *testing.T, url, body, id string) *http.Response {
+// createCampaignWithID creates a campaign under the X-Campaign-ID
+// header (omitted when empty) and returns the create reply.
+func createCampaignWithID(t *testing.T, url, body, id string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/campaign?trace=1", bytes.NewReader([]byte(body)))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/campaigns", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,43 +152,29 @@ func postCampaignWithID(t *testing.T, url, body, id string) *http.Response {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() })
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d", resp.StatusCode)
+	}
 	return resp
 }
 
-func decodeTraceLines(t *testing.T, body io.Reader) []traceLine {
-	t.Helper()
-	var lines []traceLine
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var l traceLine
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, l)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return lines
-}
-
 // TestCampaignIDPropagation drives a traced campaign through a
-// coordinator whose workers record the X-Campaign-ID they receive: the
-// client's ID must be echoed on the response, observed verbatim by
-// every worker that ran a shard, and stamped into the terminal trace
-// frame along with per-shard spans naming those workers.
+// coordinator whose workers record the X-Campaign-ID of every shard
+// they are asked to create: the client's ID must be echoed on the
+// response, extended into every worker-side shard ID as <id>.<suffix>,
+// and stamped into the trace frame along with per-shard spans naming
+// those workers.
 func TestCampaignIDPropagation(t *testing.T) {
 	var mu sync.Mutex
-	seen := make(map[string]int)
+	var seen []string
 	urls := make([]string, 2)
 	for i := range urls {
 		inner := New(sdpolicy.NewEngine(2, 64), 4).Handler()
 		w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/campaign" {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/campaigns" {
 				mu.Lock()
-				seen[r.Header.Get("X-Campaign-ID")]++
+				seen = append(seen, r.Header.Get("X-Campaign-ID"))
 				mu.Unlock()
 			}
 			inner.ServeHTTP(rw, r)
@@ -206,23 +185,20 @@ func TestCampaignIDPropagation(t *testing.T) {
 	coord := startCoordinator(t, urls)
 
 	const id = "ci-trace-42"
-	resp := postCampaignWithID(t, coord.URL, coordCampaignBody, id)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
+	resp := createCampaignWithID(t, coord.URL, withTrace(coordCampaignBody), id)
 	if got := resp.Header.Get("X-Campaign-ID"); got != id {
 		t.Errorf("response X-Campaign-ID %q, want %q", got, id)
 	}
-	lines := decodeTraceLines(t, resp.Body)
+	lines := decodeFrames(t, attachLines(t, coord.URL, id, 0))
 	if len(lines) < 2 {
 		t.Fatalf("stream too short: %+v", lines)
 	}
 	last, trace := lines[len(lines)-1], lines[len(lines)-2]
-	if !last.Done {
-		t.Fatalf("terminal line %+v, want done", last)
+	if !last.done() {
+		t.Fatalf("terminal frame %+v, want done", last)
 	}
-	if !trace.Trace || trace.CampaignID != id {
-		t.Fatalf("trace frame %+v, want trace with campaign_id %q", trace, id)
+	if !trace.Trace || trace.CampaignID != id || trace.Seq != last.Seq-1 {
+		t.Fatalf("trace frame %+v, want trace with campaign_id %q just before done", trace, id)
 	}
 	if len(trace.Shards) == 0 || len(trace.Peers) == 0 {
 		t.Fatalf("trace frame has no spans: %+v", trace)
@@ -238,8 +214,13 @@ func TestCampaignIDPropagation(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seen) != 1 || seen[id] == 0 {
-		t.Errorf("workers observed campaign IDs %v, want only %q", seen, id)
+	if len(seen) == 0 {
+		t.Fatal("no worker was asked to create a shard")
+	}
+	for _, got := range seen {
+		if !strings.HasPrefix(got, id+".") || len(got) > maxCampaignIDLen || canonicalCampaignID(got) != got {
+			t.Errorf("worker-side ID %q, want a valid %q-prefixed ID", got, id+".")
+		}
 	}
 }
 
@@ -250,33 +231,28 @@ func TestCampaignIDGenerated(t *testing.T) {
 	srv := testServer(t)
 	body := `{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"static"}}]}`
 
-	resp := postCampaignWithID(t, srv.URL, body, "")
-	gen := resp.Header.Get("X-Campaign-ID")
-	if len(gen) != 16 {
+	resp := createCampaignWithID(t, srv.URL, body, "")
+	if gen := resp.Header.Get("X-Campaign-ID"); len(gen) != 16 {
 		t.Errorf("generated ID %q, want 16 hex chars", gen)
 	}
-	io.Copy(io.Discard, resp.Body)
-
-	resp = postCampaignWithID(t, srv.URL, body, "bad id with spaces")
+	resp = createCampaignWithID(t, srv.URL, body, "bad id with spaces")
 	if got := resp.Header.Get("X-Campaign-ID"); got == "" || strings.ContainsAny(got, " \n") {
 		t.Errorf("unusable client ID echoed as %q, want a regenerated one", got)
 	}
-	io.Copy(io.Discard, resp.Body)
 }
 
-// TestTraceFrameLocal: a ?trace=1 campaign on a non-coordinator server
+// TestTraceFrameLocal: a traced campaign on a non-coordinator server
 // still gets a trace frame, with the whole batch attributed to the
 // pseudo-peer "local".
 func TestTraceFrameLocal(t *testing.T) {
 	srv := testServer(t)
-	resp := postCampaignWithID(t, srv.URL,
-		`{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"static"}}]}`, "local-trace-1")
-	lines := decodeTraceLines(t, resp.Body)
-	if len(lines) < 3 {
+	lines := campaignFrames(t, srv.URL, "local-trace-1",
+		withTrace(`{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"static"}}]}`))
+	if len(lines) != 3 {
 		t.Fatalf("stream %+v, want result + trace + done", lines)
 	}
-	trace := lines[len(lines)-2]
-	if !trace.Trace || trace.CampaignID != "local-trace-1" || trace.Points != 1 {
+	trace := lines[1]
+	if !trace.Trace || trace.CampaignID != "local-trace-1" || trace.Points != 1 || trace.Seq != 2 {
 		t.Fatalf("trace frame %+v", trace)
 	}
 	if len(trace.Shards) != 1 || trace.Shards[0].Peer != "local" {

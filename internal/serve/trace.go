@@ -8,16 +8,16 @@ import (
 	"time"
 )
 
-// Campaign-scoped tracing. Every /v1/campaign request gets a campaign
-// ID — client-supplied via the X-Campaign-ID header, else generated —
-// that is echoed on the response, propagated on coordinator→worker
-// hops, and stamped into the structured log lines on every node that
-// touches the campaign. With ?trace=1 the stream additionally ends
-// with a "trace" frame, emitted just before the terminal event,
-// summarizing where the campaign's wall-clock went: one span per shard
-// attempt (which peer, how many points, start/end offsets, how many
-// times the shard had been requeued before this attempt) plus a
-// per-peer rollup.
+// Campaign-scoped tracing. Every campaign gets an ID — client-supplied
+// via the X-Campaign-ID header, else generated — that is echoed on the
+// response and stamped into the structured log lines on every node that
+// touches the campaign: each shard a coordinator creates on a worker is
+// named <campaign ID>.<suffix> (shardID). With the create option
+// "trace": true the stream additionally carries a "trace" frame, just
+// before the terminal frame, summarizing where the campaign's
+// wall-clock went: one span per shard attempt (which peer, how many
+// points, start/end offsets, how many times the shard had been
+// requeued before this attempt) plus a per-peer rollup.
 
 // maxCampaignIDLen bounds client-supplied IDs so log lines and metric
 // payloads stay sane.
@@ -76,9 +76,9 @@ type PeerTrace struct {
 	Errors int     `json:"errors"`
 }
 
-// TraceFrame is the terminal ?trace=1 stream frame (SSE event "trace" /
-// NDJSON line with "trace":true), written immediately before the
-// done/error/shutdown event.
+// TraceFrame is the payload of a traced campaign's "trace" frame (SSE
+// event "trace" / NDJSON line with "trace":true), appended with its seq
+// immediately before the terminal frame.
 type TraceFrame struct {
 	Trace      bool        `json:"trace"`
 	CampaignID string      `json:"campaign_id"`

@@ -164,36 +164,6 @@ func TestSimulateWorkloadRef(t *testing.T) {
 	}
 }
 
-func TestSweepWorkloadRefs(t *testing.T) {
-	srv := testServer(t)
-	read := func(body string) (int, string) {
-		resp := postJSON(t, srv.URL+"/v1/sweep", body)
-		var raw json.RawMessage
-		json.NewDecoder(resp.Body).Decode(&raw)
-		return resp.StatusCode, string(raw)
-	}
-	legacyCode, legacyBody := read(`{"workloads":["wl5"],"scale":0.15,"seed":1}`)
-	refCode, refBody := read(`{"workload_refs":[{"name":"wl5","scale":0.15,"seed":1}]}`)
-	if legacyCode != http.StatusOK || refCode != http.StatusOK {
-		t.Fatalf("status %d / %d", legacyCode, refCode)
-	}
-	if legacyBody != refBody {
-		t.Fatalf("sweep shapes answer differently:\n%s\nvs\n%s", legacyBody, refBody)
-	}
-	// Conflicting per-ref scales cannot collapse into the sweep's single
-	// scale; derivations are not part of the sweep contract.
-	for _, body := range []string{
-		`{"workload_refs":[{"name":"wl1","scale":0.1},{"name":"wl2","scale":0.2}]}`,
-		`{"workload_refs":[{"name":"wl1","scale":0.1}],"scale":0.2}`,
-		`{"workload_refs":[{"name":"wl1","derivations":[{"op":"malleable_fraction","fraction":0.5}]}]}`,
-		`{"workload_refs":[{"name":"wl1","trace":"trace:00"}]}`,
-	} {
-		if code, _ := read(body); code != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", body, code)
-		}
-	}
-}
-
 // TestTraceCampaignLocalVsCoordinator is the acceptance scenario: the
 // registered trace at 1.5x load with 30% malleable jobs, static vs SD,
 // addressed through workload_ref, must produce identical results from
@@ -211,7 +181,7 @@ func TestTraceCampaignLocalVsCoordinator(t *testing.T) {
 		 "options":{"policy":"sd","max_slowdown":10}}
 	]}`, info.Ref, info.Ref)
 
-	var req CampaignRequest
+	var req CreateCampaignRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -224,15 +194,9 @@ func TestTraceCampaignLocalVsCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(label, url string) {
-		t.Helper()
-		got := runCampaign(t, url, body, len(points))
-		assertResultsMatch(t, got, want)
-		_ = label
-	}
 	workers := startWorkers(t, 2)
-	check("worker", workers[0])
-	check("coordinator", startCoordinator(t, workers).URL)
+	assertResultsMatch(t, runCampaign(t, workers[0], body, len(points)), want)
+	assertResultsMatch(t, runCampaign(t, startCoordinator(t, workers).URL, body, len(points)), want)
 }
 
 // TestUnknownTraceDigestRejected: a tier that was never given the
@@ -249,39 +213,4 @@ func TestUnknownTraceDigestRejected(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != "bad_request" {
 		t.Fatalf("envelope: %v %+v", err, env)
 	}
-}
-
-// runCampaign posts an arbitrary one-shot campaign and collects the
-// per-position results (runCoordinatorCampaign is fixed to the shared
-// coordinator fixture body).
-func runCampaign(t *testing.T, url, body string, n int) []*sdpolicy.Result {
-	t.Helper()
-	resp := postJSON(t, url+"/v1/campaign", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	results := make([]*sdpolicy.Result, n)
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var line campaignLine
-		if err := dec.Decode(&line); err != nil {
-			t.Fatalf("stream: %v", err)
-		}
-		if line.Done {
-			if line.Error != "" {
-				t.Fatalf("campaign error: %s", line.Error)
-			}
-			break
-		}
-		if line.Index == nil || line.Result == nil {
-			continue
-		}
-		results[*line.Index] = line.Result
-	}
-	for i, r := range results {
-		if r == nil {
-			t.Fatalf("index %d never streamed", i)
-		}
-	}
-	return results
 }

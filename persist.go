@@ -39,7 +39,7 @@ type cacheFile struct {
 }
 
 // cacheFileEntry persists one memoised simulation. The point is stored
-// in its wire form (the same JSON a /v1/campaign client sends); the
+// in its wire form (the same JSON a /v1/campaigns client sends); the
 // per-job report — which Daily and the heatmaps need but the Result's
 // public JSON omits — rides alongside so a restored Result is fully
 // equivalent to a freshly simulated one.

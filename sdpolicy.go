@@ -51,7 +51,7 @@
 // result cache to disk so repeated campaigns survive restarts.
 //
 // cmd/sdserve exposes the same engine over HTTP (POST /v1/simulate,
-// POST /v1/sweep, and the streaming POST /v1/campaign), serving
+// the /v1/campaigns resources and the /v1/experiments plane), serving
 // concurrent clients from one shared result cache.
 package sdpolicy
 
