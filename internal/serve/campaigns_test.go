@@ -621,8 +621,7 @@ func TestCampaignRetentionBounded(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
-	traced := strings.TrimSuffix(campaignPointsBody, "}") + `,"trace":true}`
-	first := createCampaign(t, srv.URL, "first", traced)
+	first := createCampaign(t, srv.URL, "first", withTrace(campaignPointsBody))
 	full := attachLines(t, srv.URL, first, 0)
 	if len(full) != campaignPointCount+2 { // results, trace, done
 		t.Fatalf("%d frames, want %d", len(full), campaignPointCount+2)
