@@ -16,20 +16,25 @@ type mateSelection struct {
 	penalty   float64 // PI = sum of mate penalties (Eq. 1)
 }
 
-// candidate is a mate with its Eq. 4 penalty.
+// candidate is a mate with its Eq. 4 penalty, its node count and its
+// position in Scheduler.pool. It holds no pointer, so shifting the
+// top-K list is a plain memmove.
 type candidate struct {
-	m *rjob
-	p float64
+	p     float64
+	id    job.ID
+	width int
+	idx   int
 }
 
 // candLess is the deterministic candidate order: penalty ascending with
 // the (unique) job id as tie-break — a strict total order, so the
-// lowest-CandidateCap set and its sorted layout are unambiguous.
+// lowest-CandidateCap set and its sorted layout are unambiguous, and
+// independent of the order the pool is scanned in.
 func candLess(a, b candidate) bool {
 	if a.p != b.p {
 		return a.p < b.p
 	}
-	return a.m.j.ID < b.m.j.ID
+	return a.id < b.id
 }
 
 // penalty evaluates Eq. 4 for a prospective mate: the predicted slowdown
@@ -43,24 +48,53 @@ func penalty(m *rjob, now, guestEnd int64, keepRate float64) float64 {
 	return (wait + m.increase + newInc + req) / req
 }
 
-// eligibleMate reports whether m can shrink for the guest g ending at
-// guestEnd: malleable, not hosting, not hosted, holding all its nodes at
-// full cores, shrink floor respected, long enough that the guest
-// finishes inside its allocation (Section 3.2.4 constraint), and on
-// nodes satisfying the guest's feature constraints.
+// poolable is the guest-independent half of the mate-eligibility
+// check: m can shrink under the policy, neither hosts nor is hosted,
+// holds all its nodes at full cores, and keeps at least one core per
+// task once shrunk. Scheduler.pool holds exactly the running jobs that
+// pass it.
+func (s *Scheduler) poolable(m *rjob) bool {
+	switch s.cfg.Policy {
+	case SDPolicy:
+		if m.j.Kind != job.Malleable {
+			return false // only malleable jobs can shrink
+		}
+	case Oversubscribe: // oversubscription shares blindly
+	default:
+		return false // static backfill never co-schedules
+	}
+	return m.guest == nil && len(m.hosts) == 0 && m.allFull &&
+		s.mgr.OwnerKeepCores() >= m.j.TasksPerNode
+}
+
+// syncPool re-checks m's pool membership after a field poolable reads
+// changed.
+func (s *Scheduler) syncPool(m *rjob) {
+	in := m.poolIdx >= 0
+	if want := s.poolable(m); want && !in {
+		m.poolIdx = len(s.pool)
+		s.pool = append(s.pool, m)
+	} else if !want && in {
+		s.dropPool(m)
+	}
+}
+
+// dropPool swap-removes a pool member.
+func (s *Scheduler) dropPool(m *rjob) {
+	last := len(s.pool) - 1
+	moved := s.pool[last]
+	s.pool[m.poolIdx] = moved
+	moved.poolIdx = m.poolIdx
+	s.pool[last] = nil
+	s.pool = s.pool[:last]
+	m.poolIdx = -1
+}
+
+// eligibleMate is the guest-dependent half of the mate-eligibility
+// check for a pool member m: long enough that the guest g ending at
+// guestEnd finishes inside its allocation (Section 3.2.4 constraint),
+// and on nodes satisfying the guest's feature constraints.
 func (s *Scheduler) eligibleMate(m, g *rjob, now, guestEnd int64) bool {
-	if s.cfg.Policy == SDPolicy && m.j.Kind != job.Malleable {
-		return false // only malleable jobs can shrink; oversubscription shares blindly
-	}
-	if m.guest != nil || len(m.hosts) > 0 {
-		return false
-	}
-	if s.mgr.OwnerKeepCores() < m.j.TasksPerNode {
-		return false
-	}
-	if !m.allFull {
-		return false
-	}
 	if s.predEndOf(m, now) < guestEnd {
 		return false
 	}
@@ -82,8 +116,8 @@ type mateSearch struct {
 	sufWidth  []int // sufWidth[i] = max node count among cands[i:]
 	freeAvail int
 	maxMates  int
-	cur       []*rjob
-	bestMates []*rjob
+	cur       []int // pool indices of the combination being extended
+	bestMates []int
 	bestFree  int
 	bestPen   float64
 }
@@ -125,23 +159,23 @@ func (ms *mateSearch) dfs(start, needed int, pen float64) {
 		if needed > ms.freeAvail+slots*ms.sufWidth[i] {
 			break
 		}
-		w := len(ms.cands[i].m.nodes)
+		w := ms.cands[i].width
 		if w > needed {
 			continue
 		}
-		ms.cur = append(ms.cur, ms.cands[i].m)
+		ms.cur = append(ms.cur, ms.cands[i].idx)
 		ms.dfs(i+1, needed-w, pen+ms.cands[i].p)
 		ms.cur = ms.cur[:len(ms.cur)-1]
 	}
 }
 
 // selectMates implements Listing 2's pick_mates: filter and sort the
-// running jobs by penalty, then search combinations of at most MaxMates
-// mates whose node counts sum to the request (constraint 3), each below
-// the MAX_SLOWDOWN cut-off (constraint 2), minimising the Performance
-// Impact (Eq. 1). Returns nil when no feasible combination exists. The
-// returned selection is scheduler-owned scratch, valid until the next
-// call.
+// pool of shrinkable running jobs by penalty, then search combinations
+// of at most MaxMates mates whose node counts sum to the request
+// (constraint 3), each below the MAX_SLOWDOWN cut-off (constraint 2),
+// minimising the Performance Impact (Eq. 1). Returns nil when no
+// feasible combination exists. The returned selection is
+// scheduler-owned scratch, valid until the next call.
 func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 	W := r.j.ReqNodes
 	maxSD := s.maxSD
@@ -156,11 +190,11 @@ func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 	}
 	// Stream the eligible mates straight into a bounded, sorted
 	// candidate list: only the CandidateCap lowest penalties matter, so
-	// a running job worse than the current cut costs one comparison
+	// a pool member worse than the current cut costs one comparison
 	// instead of a slot in a full sort.
 	nm := s.cfg.CandidateCap
 	cands := s.search.cands[:0]
-	for _, m := range s.runList {
+	for i, m := range s.pool {
 		if len(m.nodes) > W {
 			continue // a mate shrinks on all its nodes; larger mates overshoot
 		}
@@ -171,7 +205,7 @@ func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 		if p >= maxSD {
 			continue // Eq. 2 cut-off
 		}
-		c := candidate{m: m, p: p}
+		c := candidate{p: p, id: m.j.ID, width: len(m.nodes), idx: i}
 		if len(cands) == nm && !candLess(c, cands[nm-1]) {
 			continue
 		}
@@ -207,7 +241,7 @@ func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 	}
 	ms.sufWidth = ms.sufWidth[:len(cands)]
 	for i := len(cands) - 1; i >= 0; i-- {
-		w := len(cands[i].m.nodes)
+		w := cands[i].width
 		if i+1 < len(cands) && ms.sufWidth[i+1] > w {
 			w = ms.sufWidth[i+1]
 		}
@@ -223,6 +257,10 @@ func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 	if math.IsInf(ms.bestPen, 1) {
 		return nil
 	}
-	s.selBuf = mateSelection{mates: ms.bestMates, freeNodes: ms.bestFree, penalty: ms.bestPen}
+	mates := s.selBuf.mates[:0]
+	for _, i := range ms.bestMates {
+		mates = append(mates, s.pool[i])
+	}
+	s.selBuf = mateSelection{mates: mates, freeNodes: ms.bestFree, penalty: ms.bestPen}
 	return &s.selBuf
 }

@@ -29,9 +29,10 @@ type rjob struct {
 	// pred tracks requested-time progress under the worst-case model:
 	// it drives every scheduler prediction (Section 3.4: "in the
 	// SD-Policy case, we use the worst case model").
-	pred   *model.Progress
-	endEv  sim.Event
-	runIdx int // position in Scheduler.runList
+	pred    *model.Progress
+	endEv   sim.Event
+	runIdx  int // position in Scheduler.runList
+	poolIdx int // position in Scheduler.pool, or -1 outside it
 	// predicted-end memo: predEnd is pure in (pred state, now), so one
 	// computation per timestamp serves the profile build, the cut-off
 	// and every mate-eligibility check of a pass. peAt is the timestamp
@@ -88,12 +89,22 @@ type Scheduler struct {
 	// Order is begin-order with swap-removal on finish; every consumer
 	// is order-independent (max/sort/total-order reductions).
 	runList []*rjob
+	// pool holds the running jobs that pass poolable, the guest-
+	// independent half of the mate-eligibility check: the only jobs a
+	// mate selection can pick. Swap-removal like runList; selectMates
+	// does not depend on its order (candLess is a strict total order).
+	pool    []*rjob
 	results []metrics.JobResult
 	meter   *energy.Meter
 
 	passPending bool
 	passFn      func()  // cached method value, scheduled by requestPass
 	maxSD       float64 // effective cut-off for the current pass
+	// reservations held so far in the current pass, and the kept jobs
+	// whose estimate and reservation wait on a successful mate
+	// selection (see pass)
+	reserved int
+	deferred []*rjob
 
 	// counters
 	mallStarts int
@@ -168,7 +179,7 @@ func (s *Scheduler) Submit(j *job.Job) error {
 			j.ID, j.Features, j.ReqNodes, n)
 	}
 	s.eng.Schedule(j.Submit, sim.PriSubmit, func() {
-		r := &rjob{j: j}
+		r := &rjob{j: j, poolIdx: -1}
 		if s.cfg.RuntimeModel == model.App {
 			if s.cfg.Speedups != nil {
 				r.speedup = s.cfg.Speedups(j.App)
@@ -228,6 +239,7 @@ func (s *Scheduler) setRates(r *rjob, now int64) int64 {
 	r.pred.SetRate(now, model.Rate(model.WorstCase, s.sharesBuf, full, nil)*sf)
 	r.peAt = peInvalid
 	s.relDirty = true
+	s.syncPool(r)
 	return r.prog.RemainingWall(now)
 }
 
@@ -277,6 +289,9 @@ func (s *Scheduler) finish(r *rjob) {
 	moved.runIdx = r.runIdx
 	s.runList[last] = nil
 	s.runList = s.runList[:last]
+	if r.poolIdx >= 0 {
+		s.dropPool(r)
+	}
 	s.relDirty = true
 
 	// Listing 3's end path: clean DROM state, release the nodes, let the
@@ -334,48 +349,82 @@ func (s *Scheduler) pass() {
 		s.maxSD = s.dynamicCutoff(now)
 	}
 	prof := s.buildProfile(now)
+	s.reserved = 0
 
 	kept := s.queue[:0]
-	examined, reserved := 0, 0
+	examined := 0
 	for qi, r := range s.queue {
 		if examined >= s.cfg.BackfillDepth {
 			kept = append(kept, s.queue[qi:]...)
 			break
 		}
 		examined++
-		est := prof.earliestStart(r.j.ReqNodes, r.j.ReqTime)
-		// Feature-constrained jobs additionally wait for matching nodes:
-		// their start estimate is the later of the aggregate profile and
-		// a profile restricted to nodes carrying the features.
-		if len(r.j.Features) > 0 {
-			if fest := s.featureEarliestStart(r, now); fest > est {
-				est = fest
+		// Once no node is free, no job can start statically for the
+		// rest of the pass (availNow never rises), so an estimate
+		// matters only to a malleable trial whose mate selection
+		// succeeds. The selection does not read the profile: probe it
+		// first, and defer the estimate and reservation of a job it
+		// fails for. Only jobs that would still get a reservation need
+		// one later.
+		if prof.availNow == 0 && !s.hasMates(r, now) {
+			if s.reserved+len(s.deferred) < s.cfg.ReservationDepth {
+				s.deferred = append(s.deferred, r)
 			}
+			kept = append(kept, r)
+			continue
 		}
+		s.replayDeferred(prof)
+		est := s.estimate(r, prof)
 		if est == now && s.cl.FreeNodesWith(r.j.Features) >= r.j.ReqNodes {
 			s.startStatic(r, prof)
 			continue
 		}
-		coSchedulable := (s.cfg.Policy == SDPolicy && r.j.Kind != job.Rigid) ||
-			s.cfg.Policy == Oversubscribe
-		if coSchedulable {
-			if s.tryMalleable(r, est, prof) {
-				continue
-			}
+		if s.coSchedulable(r) && s.tryMalleable(r, est, prof) {
+			continue
 		}
-		// Conservative backfill reserves for every examined job; with
-		// ReservationDepth 1 only the head holds a reservation (EASY).
-		if reserved < s.cfg.ReservationDepth {
-			prof.reserve(est, est+r.j.ReqTime, r.j.ReqNodes)
-			reserved++
-		}
+		s.reserve(r, est, prof)
 		kept = append(kept, r)
 	}
+	// Estimates no selection asked for are dropped: the profile is
+	// per-pass scratch.
+	clear(s.deferred)
+	s.deferred = s.deferred[:0]
 	// zero the tail so removed jobs do not leak
 	for i := len(kept); i < len(s.queue); i++ {
 		s.queue[i] = nil
 	}
 	s.queue = kept
+}
+
+// estimate is the job's predicted static start. Feature-constrained
+// jobs additionally wait for matching nodes: their estimate is the
+// later of the aggregate profile and a profile restricted to nodes
+// carrying the features.
+func (s *Scheduler) estimate(r *rjob, prof *profile) int64 {
+	est := prof.earliestStart(r.j.ReqNodes, r.j.ReqTime)
+	if len(r.j.Features) > 0 {
+		if fest := s.featureEarliestStart(r, prof.now); fest > est {
+			est = fest
+		}
+	}
+	return est
+}
+
+// reserve gives a job that stays queued its reservation. Conservative
+// backfill reserves for every examined job; with ReservationDepth 1
+// only the head holds a reservation (EASY).
+func (s *Scheduler) reserve(r *rjob, est int64, prof *profile) {
+	if s.reserved < s.cfg.ReservationDepth {
+		prof.reserve(est, est+r.j.ReqTime, r.j.ReqNodes)
+		s.reserved++
+	}
+}
+
+// coSchedulable reports whether the policy gives the job a malleable
+// trial after a failed static one.
+func (s *Scheduler) coSchedulable(r *rjob) bool {
+	return (s.cfg.Policy == SDPolicy && r.j.Kind != job.Rigid) ||
+		s.cfg.Policy == Oversubscribe
 }
 
 // startStatic places the job on free nodes now and charges the profile.
@@ -389,17 +438,13 @@ func (s *Scheduler) startStatic(r *rjob, prof *profile) {
 	prof.reserve(s.eng.Now(), s.eng.Now()+r.j.ReqTime, r.j.ReqNodes)
 }
 
-// tryMalleable is the malleable branch of Listing 1. est is the
-// predicted static start from the reservation map. It reports whether
-// the job was started.
-func (s *Scheduler) tryMalleable(r *rjob, est int64, prof *profile) bool {
-	now := s.eng.Now()
-	staticEnd := est + r.j.ReqTime
-
+// guestRun returns the job's predicted run time as a guest on the
+// cores a shrunk mate cedes; ok is false when it cannot run as one.
+func (s *Scheduler) guestRun(r *rjob) (run int64, ok bool) {
 	full := s.cl.Config().CoresPerNode()
 	guestCores := s.mgr.GuestCores()
 	if guestCores < r.j.TasksPerNode {
-		return false // cannot satisfy one core per task
+		return 0, false // cannot satisfy one core per task
 	}
 	guestRate := model.UniformRate(model.WorstCase, guestCores, full, nil)
 	if s.cfg.Policy == Oversubscribe {
@@ -407,29 +452,57 @@ func (s *Scheduler) tryMalleable(r *rjob, est int64, prof *profile) bool {
 	}
 	inc := model.Increase(r.j.ReqTime, guestRate)
 	if math.IsInf(inc, 1) {
+		return 0, false
+	}
+	return r.j.ReqTime + int64(math.Ceil(inc)), true
+}
+
+// tryMalleable is the malleable branch of Listing 1. est is the
+// predicted static start from the reservation map. It reports whether
+// the job was started.
+func (s *Scheduler) tryMalleable(r *rjob, est int64, prof *profile) bool {
+	mallRun, ok := s.guestRun(r)
+	if !ok {
 		return false
 	}
-	mallRun := r.j.ReqTime + int64(math.Ceil(inc))
-	mallEnd := now + mallRun
-	if staticEnd <= mallEnd {
+	now := prof.now
+	if est+r.j.ReqTime <= now+mallRun {
 		return false // waiting for a static start is predicted better
 	}
-	sel := s.selectMates(r, now, mallEnd)
+	sel := s.selectMates(r, now, now+mallRun)
 	if sel == nil {
 		return false
 	}
-	s.startMalleable(r, sel, mallRun)
-	if sel.freeNodes > 0 {
-		// free nodes mixed into the guest's allocation are busy until
-		// the guest's predicted end
-		prof.reserve(now, mallEnd, sel.freeNodes)
-	}
+	s.startMalleable(r, sel, mallRun, prof)
 	return true
 }
 
+// hasMates reports whether a malleable trial of the job would find
+// mates now, whatever its estimate.
+func (s *Scheduler) hasMates(r *rjob, now int64) bool {
+	if !s.coSchedulable(r) {
+		return false
+	}
+	mallRun, ok := s.guestRun(r)
+	return ok && s.selectMates(r, now, now+mallRun) != nil
+}
+
+// replayDeferred gives the deferred jobs, in queue order, the
+// estimates and reservations the pass put off. It runs before the job
+// whose probe succeeded starts, so the profile, the feature profile and
+// the pool are exactly as a pass that never deferred would see them.
+func (s *Scheduler) replayDeferred(prof *profile) {
+	for _, d := range s.deferred {
+		s.reserve(d, s.estimate(d, prof), prof)
+	}
+	clear(s.deferred)
+	s.deferred = s.deferred[:0]
+}
+
 // startMalleable shrinks the selected mates and starts the guest on
-// their ceded cores (plus any free nodes mixed in).
-func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64) {
+// their ceded cores (plus any free nodes mixed in, which the profile
+// then shows busy until the guest's predicted end).
+func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64, prof *profile) {
 	mates := s.matesBuf[:0]
 	for _, m := range sel.mates {
 		mates = append(mates, nodemgr.Mate{ID: m.j.ID, Nodes: m.nodes})
@@ -470,6 +543,9 @@ func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64) {
 	for _, m := range sel.mates {
 		s.refreshRates(m)
 		s.obsReconfigured(m)
+	}
+	if sel.freeNodes > 0 {
+		prof.reserve(prof.now, prof.now+mallRun, sel.freeNodes)
 	}
 }
 
