@@ -205,6 +205,23 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignGolden is the scheduler's dev-loop benchmark: the 45
+// golden points (every workload preset under every policy variant) on
+// one worker with the cache off, so every point simulates. Its
+// points/s tracks the in-process workload of perfbench without
+// building the harness.
+func BenchmarkCampaignGolden(b *testing.B) {
+	points := goldenPoints()
+	engine := NewEngine(1, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Run(context.Background(), points); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(points)*b.N)/b.Elapsed().Seconds(), "points/s")
+}
+
 // BenchmarkCampaignCached measures the memoised path: after the first
 // iteration warms the cache, every sweep is pure cache hits.
 func BenchmarkCampaignCached(b *testing.B) {

@@ -73,9 +73,11 @@ func BenchmarkDynamicCutoff(b *testing.B) {
 
 // BenchmarkSchedulerPass measures a full scheduling pass — cut-off,
 // profile build, backfill walk with malleable trials — over the frozen
-// mid-trace state. The machine is saturated at the horizon, so the pass
-// only estimates and reserves: it leaves the queue and running set
-// unchanged and is safe to repeat.
+// mid-trace state. At the horizon some nodes are free, but no queued
+// job fits on them or finds mates, so the pass starts nothing: it
+// leaves the queue and running set unchanged and is safe to repeat.
+// With a node free, every examined job is estimated and reserved; the
+// deferred estimates of a full machine are not measured here.
 func BenchmarkSchedulerPass(b *testing.B) {
 	cfg := sdConfig()
 	cfg.Cutoff = CutoffDynAvg
