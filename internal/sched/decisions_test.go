@@ -29,8 +29,6 @@ import (
 var updateDecisions = flag.Bool("update-decisions", false,
 	"rewrite testdata/decisions.txt from the current scheduler")
 
-const decisionsFile = "decisions.txt"
-
 // decisionRun is one simulation the digest file pins.
 type decisionRun struct {
 	name string
@@ -166,7 +164,7 @@ func readDecisions(t *testing.T, path string) (map[string]string, []string) {
 }
 
 func TestDecisionDigests(t *testing.T) {
-	path := filepath.Join("testdata", decisionsFile)
+	path := filepath.Join("testdata", "decisions.txt")
 	runs := decisionRuns(t)
 	var out strings.Builder
 	got := make(map[string]string, len(runs))

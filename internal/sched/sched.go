@@ -491,6 +491,8 @@ func (s *Scheduler) hasMates(r *rjob, now int64) bool {
 // estimates and reservations the pass put off. It runs before the job
 // whose probe succeeded starts, so the profile, the feature profile and
 // the pool are exactly as a pass that never deferred would see them.
+// It touches nothing a mate selection reads, so the selection
+// tryMalleable then makes is the probe's.
 func (s *Scheduler) replayDeferred(prof *profile) {
 	for _, d := range s.deferred {
 		s.reserve(d, s.estimate(d, prof), prof)
