@@ -239,6 +239,9 @@ func (s *Scheduler) setRates(r *rjob, now int64) int64 {
 	r.pred.SetRate(now, model.Rate(model.WorstCase, s.sharesBuf, full, nil)*sf)
 	r.peAt = peInvalid
 	s.relDirty = true
+	// Every guest/hosts change that can admit a job to the pool or
+	// evict one is followed by a rate refresh, so this is the only
+	// membership check a running job needs (TestPoolInvariant).
 	s.syncPool(r)
 	return r.prog.RemainingWall(now)
 }
