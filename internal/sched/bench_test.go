@@ -32,18 +32,10 @@ func midSim(b *testing.B, cfg Config) *Scheduler {
 	return s
 }
 
-// invalidate expires the per-timestamp memos so every iteration pays
-// the full rebuild, as a pass at a fresh timestamp would.
-func invalidate(s *Scheduler) {
-	s.relDirty = true
-	for _, r := range s.runList {
-		r.peAt = peInvalid
-	}
-}
-
-// BenchmarkBuildProfile measures one availability-profile rebuild from
-// the running set (the head of every scheduling pass). Target: zero
-// allocations amortised — the release and breakpoint arrays are
+// BenchmarkBuildProfile measures what the head of every scheduling pass
+// pays for its availability profile: an O(B) copy of the maintained
+// release set, B distinct release times, folding past releases into
+// now+1. Target: zero allocations amortised — the breakpoint arrays are
 // scheduler-owned scratch.
 func BenchmarkBuildProfile(b *testing.B) {
 	s := midSim(b, sdConfig())
@@ -51,7 +43,6 @@ func BenchmarkBuildProfile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		invalidate(s)
 		s.buildProfile(now)
 	}
 }
@@ -66,7 +57,6 @@ func BenchmarkDynamicCutoff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		invalidate(s)
 		s.dynamicCutoff(now)
 	}
 }
@@ -86,7 +76,6 @@ func BenchmarkSchedulerPass(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		invalidate(s)
 		s.pass()
 	}
 	b.StopTimer()

@@ -95,7 +95,7 @@ func (s *Scheduler) dropPool(m *rjob) {
 // guestEnd finishes inside its allocation (Section 3.2.4 constraint),
 // and on nodes satisfying the guest's feature constraints.
 func (s *Scheduler) eligibleMate(m, g *rjob, now, guestEnd int64) bool {
-	if s.predEndOf(m, now) < guestEnd {
+	if m.predEndAt(now) < guestEnd {
 		return false
 	}
 	if len(g.j.Features) > 0 {

@@ -36,26 +36,41 @@ func newProfile(now int64, totalNodes, freeNodes int, releases []int64) *profile
 // re-inits them every pass instead of allocating. releases is sorted in
 // place: the caller passes scratch it owns.
 func (p *profile) init(now int64, totalNodes, freeNodes int, releases []int64) {
-	p.totalNodes, p.now, p.availNow = totalNodes, now, freeNodes
-	p.times, p.deltas = p.times[:0], p.deltas[:0]
-	if len(releases) == 0 {
-		return
-	}
+	p.reset(now, totalNodes, freeNodes)
 	slices.Sort(releases)
 	for _, t := range releases {
-		if t <= now {
-			// A predicted end in the past (job overran its request and
-			// prediction): treat as releasing immediately after now.
-			t = now + 1
-		}
-		n := len(p.times)
-		if n > 0 && p.times[n-1] == t {
-			p.deltas[n-1]++
-		} else {
-			p.times = append(p.times, t)
-			p.deltas = append(p.deltas, 1)
-		}
+		p.addRelease(t, 1)
 	}
+}
+
+// copyFrom (re)builds the profile in place from a release set, in
+// O(len(rs.times)): the set is already sorted and counted.
+func (p *profile) copyFrom(now int64, totalNodes, freeNodes int, rs *releaseSet) {
+	p.reset(now, totalNodes, freeNodes)
+	for i, t := range rs.times {
+		p.addRelease(t, rs.counts[i])
+	}
+}
+
+func (p *profile) reset(now int64, totalNodes, freeNodes int) {
+	p.totalNodes, p.now, p.availNow = totalNodes, now, freeNodes
+	p.times, p.deltas = p.times[:0], p.deltas[:0]
+}
+
+// addRelease appends n nodes released at t, which must be no earlier
+// than any release added since reset.
+func (p *profile) addRelease(t int64, n int) {
+	if t <= p.now {
+		// A predicted end in the past (job overran its request and
+		// prediction): treat as releasing immediately after now.
+		t = p.now + 1
+	}
+	if k := len(p.times) - 1; k >= 0 && p.times[k] == t {
+		p.deltas[k] += n
+		return
+	}
+	p.times = append(p.times, t)
+	p.deltas = append(p.deltas, n)
 }
 
 // earliestStart returns the first time >= now at which `nodes` nodes are
@@ -140,4 +155,36 @@ func (p *profile) insert(t int64, delta int) {
 	copy(p.deltas[i+1:], p.deltas[i:])
 	p.times[i] = t
 	p.deltas[i] = delta
+}
+
+// releaseSet is a sorted multiset of node release times: the distinct
+// times, ascending, with how many nodes release at each. Every count is
+// positive.
+type releaseSet struct {
+	times  []int64
+	counts []int
+}
+
+// move re-files one node whose release changed from old to t; 0 stands
+// for a free node, which the set does not hold.
+func (rs *releaseSet) move(old, t int64) {
+	if old != 0 {
+		i, found := slices.BinarySearch(rs.times, old)
+		if !found {
+			panic(fmt.Sprintf("sched: release %d not in the release set", old))
+		}
+		if rs.counts[i]--; rs.counts[i] == 0 {
+			rs.times = slices.Delete(rs.times, i, i+1)
+			rs.counts = slices.Delete(rs.counts, i, i+1)
+		}
+	}
+	if t != 0 {
+		i, found := slices.BinarySearch(rs.times, t)
+		if found {
+			rs.counts[i]++
+		} else {
+			rs.times = slices.Insert(rs.times, i, t)
+			rs.counts = slices.Insert(rs.counts, i, 1)
+		}
+	}
 }

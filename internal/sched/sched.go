@@ -15,9 +15,6 @@ import (
 	"sdpolicy/internal/stats"
 )
 
-// peInvalid marks an rjob's predicted-end memo as stale.
-const peInvalid = math.MinInt64
-
 // rjob is the scheduler's live view of one job.
 type rjob struct {
 	j     *job.Job
@@ -29,16 +26,13 @@ type rjob struct {
 	// pred tracks requested-time progress under the worst-case model:
 	// it drives every scheduler prediction (Section 3.4: "in the
 	// SD-Policy case, we use the worst case model").
-	pred    *model.Progress
+	pred *model.Progress
+	// end is the predicted completion, pinned by setRates when the
+	// rate changes (math.MaxInt64 at rate 0). Read it with predEndAt.
+	end     int64
 	endEv   sim.Event
 	runIdx  int // position in Scheduler.runList
 	poolIdx int // position in Scheduler.pool, or -1 outside it
-	// predicted-end memo: predEnd is pure in (pred state, now), so one
-	// computation per timestamp serves the profile build, the cut-off
-	// and every mate-eligibility check of a pass. peAt is the timestamp
-	// the memo was taken at; SetRate invalidates it.
-	peAt  int64
-	peVal int64
 	// allFull mirrors "every node share equals the full core count",
 	// refreshed by setRates — shares never change without a rate
 	// refresh, so the flag is exact. It replaces the per-candidate
@@ -55,24 +49,10 @@ type rjob struct {
 	speedup  model.SpeedupFn // per-app curve, only under model.App
 }
 
-// predEnd returns the predicted completion time at `now`.
-func (r *rjob) predEnd(now int64) int64 {
-	rem := r.pred.RemainingWall(now)
-	if rem == math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return now + rem
-}
-
-// predEndOf is the memoised predEnd: exact, because the prediction only
-// changes when the clock moves or SetRate runs (which resets peAt).
-func (s *Scheduler) predEndOf(r *rjob, now int64) int64 {
-	if r.peAt != now {
-		r.peAt = now
-		r.peVal = r.predEnd(now)
-	}
-	return r.peVal
-}
+// predEndAt returns the predicted completion time read at now: the
+// pinned end, or now once that has passed (the job overran its
+// worst-case prediction).
+func (r *rjob) predEndAt(now int64) int64 { return max(r.end, now) }
 
 // Scheduler runs one policy over one workload.
 type Scheduler struct {
@@ -84,10 +64,10 @@ type Scheduler struct {
 
 	queue   []*rjob
 	running map[job.ID]*rjob
-	// runList mirrors `running` as a slice so the per-pass iterations
-	// (profile build, cut-off, mate filter) avoid map-range overhead.
-	// Order is begin-order with swap-removal on finish; every consumer
-	// is order-independent (max/sort/total-order reductions).
+	// runList mirrors `running` as a slice so the dynamic cut-off's
+	// per-pass iteration avoids map-range overhead. Order is begin-order
+	// with swap-removal on finish; the cut-off's reductions (sum,
+	// percentile) are order-independent.
 	runList []*rjob
 	// pool holds the running jobs that pass poolable, the guest-
 	// independent half of the mate-eligibility check: the only jobs a
@@ -110,16 +90,17 @@ type Scheduler struct {
 	mallStarts int
 	passes     uint64
 
-	// Scratch reused across passes. relBuf holds the per-node latest
-	// predicted release time; relAt/relDirty implement its incremental
-	// maintenance: it is recomputed only when the clock moved or an
-	// allocation/rate changed since it was last built, so the feature
-	// profile of the same pass reuses it for free.
-	relBuf   []int64
-	relAt    int64
-	relDirty bool
+	// Node releases, kept up to date by begin, finish and setRates.
+	// res lists each node's residents: an owner and at most one guest,
+	// since a mate holds all its nodes at full cores and so is alone on
+	// them. rel[nd] is the latest pinned end among them, 0 when the
+	// node is free. rels holds the distinct nonzero releases with their
+	// node counts: every pass profile starts as a copy of it.
+	res  [][2]*rjob
+	rel  []int64
+	rels releaseSet
 
-	relsBuf   []int64   // compacted releases for the pass profile
+	// Scratch reused across passes.
 	frelsBuf  []int64   // feature-filtered releases
 	sdsBuf    []float64 // dynamic-cutoff slowdown samples
 	sharesBuf []int     // per-node shares for rate refreshes
@@ -142,15 +123,16 @@ func NewScheduler(eng *sim.Engine, cfg Config, machine cluster.Config) *Schedule
 		idleW, coreW = energy.DefaultIdleNodeW, energy.DefaultCoreW
 	}
 	s := &Scheduler{
-		cfg:      cfg,
-		eng:      eng,
-		cl:       cl,
-		reg:      reg,
-		mgr:      nodemgr.New(cl, reg, cfg.SharingFactor),
-		running:  make(map[job.ID]*rjob),
-		meter:    energy.NewMeter(machine.Nodes, idleW, coreW),
-		maxSD:    cfg.MaxSlowdown,
-		relDirty: true,
+		cfg:     cfg,
+		eng:     eng,
+		cl:      cl,
+		reg:     reg,
+		mgr:     nodemgr.New(cl, reg, cfg.SharingFactor),
+		running: make(map[job.ID]*rjob),
+		meter:   energy.NewMeter(machine.Nodes, idleW, coreW),
+		maxSD:   cfg.MaxSlowdown,
+		res:     make([][2]*rjob, machine.Nodes),
+		rel:     make([]int64, machine.Nodes),
 	}
 	s.passFn = s.pass
 	return s
@@ -220,10 +202,10 @@ func (s *Scheduler) shareFactor(r *rjob) float64 {
 }
 
 // setRates derives both progress rates from the job's current per-node
-// shares (queried once) and returns the true remaining wall time.
-// trueRate uses the configured runtime model; the prediction always uses
-// the worst-case model, so the scheduler can guarantee completion inside
-// predictions.
+// shares (queried once), pins the predicted end and returns the true
+// remaining wall time. trueRate uses the configured runtime model; the
+// prediction always uses the worst-case model, so the scheduler can
+// guarantee completion inside predictions.
 func (s *Scheduler) setRates(r *rjob, now int64) int64 {
 	s.sharesBuf = s.mgr.SharesInto(s.sharesBuf[:0], r.j.ID, r.nodes)
 	full := s.cl.Config().CoresPerNode()
@@ -237,8 +219,13 @@ func (s *Scheduler) setRates(r *rjob, now int64) int64 {
 	sf := s.shareFactor(r)
 	r.prog.SetRate(now, model.Rate(s.cfg.RuntimeModel, s.sharesBuf, full, r.speedup)*sf)
 	r.pred.SetRate(now, model.Rate(model.WorstCase, s.sharesBuf, full, nil)*sf)
-	r.peAt = peInvalid
-	s.relDirty = true
+	// The prediction moves only with the rate, so it is computed here
+	// once rather than at every later read.
+	r.end = math.MaxInt64
+	if rem := r.pred.RemainingWall(now); rem != math.MaxInt64 {
+		r.end = now + rem
+	}
+	s.refreshReleases(r.nodes)
 	// Every guest/hosts change that can admit a job to the pool or
 	// evict one is followed by a rate refresh, so this is the only
 	// membership check a running job needs (TestPoolInvariant).
@@ -264,6 +251,7 @@ func (s *Scheduler) begin(r *rjob, malleable bool) {
 	r.mallStart = malleable
 	r.prog = model.NewProgress(now, float64(r.j.ActualTime))
 	r.pred = model.NewProgress(now, float64(r.j.ReqTime))
+	s.addResident(r)
 	rem := s.setRates(r, now)
 	if rem == math.MaxInt64 {
 		panic(fmt.Sprintf("sched: job %d starts starved", r.j.ID))
@@ -295,7 +283,8 @@ func (s *Scheduler) finish(r *rjob) {
 	if r.poolIdx >= 0 {
 		s.dropPool(r)
 	}
-	s.relDirty = true
+	s.dropResident(r)
+	s.refreshReleases(r.nodes)
 
 	// Listing 3's end path: clean DROM state, release the nodes, let the
 	// per-node survivor (owner expanding back, or malleable guest
@@ -554,33 +543,49 @@ func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64, p
 	}
 }
 
-// nodeReleases returns the per-node latest predicted release time
-// (shared nodes collapse to their latest resident). The array is
-// rebuilt only when the dirty flag says a rate or allocation changed,
-// or the clock moved, since the last build — so the feature profiles
-// of a pass reuse the build done for the aggregate profile.
-func (s *Scheduler) nodeReleases(now int64) []int64 {
-	nodes := s.cl.Config().Nodes
-	if cap(s.relBuf) < nodes {
-		s.relBuf = make([]int64, nodes)
-	}
-	rel := s.relBuf[:nodes]
-	if !s.relDirty && s.relAt == now {
-		return rel
-	}
-	for i := range rel {
-		rel[i] = 0
-	}
-	for _, r := range s.runList {
-		end := s.predEndOf(r, now)
-		for _, nd := range r.nodes {
-			if end > rel[nd] {
-				rel[nd] = end
-			}
+// addResident records r on each of its nodes.
+func (s *Scheduler) addResident(r *rjob) {
+	for _, nd := range r.nodes {
+		slot := &s.res[nd]
+		switch {
+		case slot[0] == nil:
+			slot[0] = r
+		case slot[1] == nil:
+			slot[1] = r
+		default:
+			panic(fmt.Sprintf("sched: job %d is a third resident of node %d", r.j.ID, nd))
 		}
 	}
-	s.relAt, s.relDirty = now, false
-	return rel
+}
+
+// dropResident removes r from each of its nodes.
+func (s *Scheduler) dropResident(r *rjob) {
+	for _, nd := range r.nodes {
+		slot := &s.res[nd]
+		if slot[0] == r {
+			slot[0] = nil
+		} else if slot[1] == r {
+			slot[1] = nil
+		}
+	}
+}
+
+// refreshReleases recomputes each listed node's release from its
+// residents' pinned ends and moves the node in the release set when
+// the release changed.
+func (s *Scheduler) refreshReleases(nodes []int) {
+	for _, nd := range nodes {
+		var t int64
+		for _, x := range s.res[nd] {
+			if x != nil && x.end > t {
+				t = x.end
+			}
+		}
+		if old := s.rel[nd]; old != t {
+			s.rel[nd] = t
+			s.rels.move(old, t)
+		}
+	}
 }
 
 // featureEarliestStart estimates when enough nodes carrying the job's
@@ -589,9 +594,8 @@ func (s *Scheduler) nodeReleases(now int64) []int64 {
 // the aggregate profile covers them approximately.
 func (s *Scheduler) featureEarliestStart(r *rjob, now int64) int64 {
 	matching := s.cl.NodesWith(r.j.Features)
-	rel := s.nodeReleases(now)
 	frels := s.frelsBuf[:0]
-	for nd, end := range rel {
+	for nd, end := range s.rel {
 		if end > 0 && s.cl.NodeHasFeatures(nd, r.j.Features) {
 			frels = append(frels, end)
 		}
@@ -601,20 +605,11 @@ func (s *Scheduler) featureEarliestStart(r *rjob, now int64) int64 {
 	return s.fprof.earliestStart(r.j.ReqNodes, r.j.ReqTime)
 }
 
-// buildProfile constructs the availability step function from per-node
-// predicted release times (shared nodes release at the latest resident's
-// predicted end).
+// buildProfile constructs the pass's availability step function from
+// the maintained release set (shared nodes release at the latest
+// resident's predicted end).
 func (s *Scheduler) buildProfile(now int64) *profile {
-	nodes := s.cl.Config().Nodes
-	rel := s.nodeReleases(now)
-	rels := s.relsBuf[:0]
-	for _, t := range rel {
-		if t > 0 {
-			rels = append(rels, t)
-		}
-	}
-	s.relsBuf = rels
-	s.prof.init(now, nodes, s.cl.FreeNodes(), rels)
+	s.prof.copyFrom(now, s.cl.Config().Nodes, s.cl.FreeNodes(), &s.rels)
 	return &s.prof
 }
 
@@ -627,7 +622,7 @@ func (s *Scheduler) dynamicCutoff(now int64) float64 {
 	sds := s.sdsBuf[:0]
 	for _, r := range s.runList {
 		wait := float64(r.start - r.j.Submit)
-		end := s.predEndOf(r, now)
+		end := r.predEndAt(now)
 		if end == math.MaxInt64 {
 			continue
 		}
