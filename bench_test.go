@@ -1,12 +1,11 @@
 package sdpolicy
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (DESIGN.md §5 maps each to its experiment). Each
-// benchmark regenerates its artefact on a scaled-down workload per
-// iteration and reports the headline quantities via b.ReportMetric, so
-// `go test -bench . -benchmem` both times the simulator and prints the
-// reproduced results. EXPERIMENTS.md records full-scale paper-vs-measured
-// numbers produced by cmd/sdexp.
+// evaluation section (cmd/sdexp's package comment lists the experiment
+// behind each). Each benchmark regenerates its artefact on a scaled-down
+// workload per iteration and reports the headline quantities via
+// b.ReportMetric, so `go test -bench . -benchmem` both times the
+// simulator and prints the reproduced results.
 
 import (
 	"context"
@@ -120,7 +119,8 @@ func BenchmarkFig9_RealRun(b *testing.B) {
 	}
 }
 
-// Ablation benchmarks for the design choices DESIGN.md §7 calls out.
+// Ablation benchmarks for design-choice sweeps that `sdexp -exp
+// ablations` runs.
 
 func BenchmarkAblation_SharingFactor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -326,4 +326,34 @@ func BenchmarkSimKernel(b *testing.B) {
 		events += res.Events
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkSimKernelScale runs BenchmarkSimKernel's point, WL4 under SD
+// with MaxSlowdown 10, on two machine sizes and reports the cost of one
+// scheduling pass. A pass whose cost grows with the machine, rather than
+// with the decisions it makes, shows as us/pass rising from the first
+// sub-benchmark to the second.
+func BenchmarkSimKernelScale(b *testing.B) {
+	cfg := sched.Defaults()
+	cfg.Policy = sched.SDPolicy
+	cfg.MaxSlowdown = 10
+	for _, scale := range []float64{0.1, 0.2} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			spec, err := workload.Shared.Get("wl4", scale, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var passes uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sched.Run(*spec, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				passes += res.Passes
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(passes), "us/pass")
+			b.ReportMetric(float64(passes)/float64(b.N), "passes")
+		})
+	}
 }
