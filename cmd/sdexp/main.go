@@ -1,5 +1,5 @@
 // Command sdexp regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §5 for the experiment index):
+// evaluation section:
 //
 //	table1  workload inventory + static baseline aggregates
 //	table2  real-run application mix

@@ -6,8 +6,9 @@
 // of Table 2.
 //
 // The real RICC and CEA-Curie SWF logs are proprietary downloads; these
-// generators are the documented substitution (see DESIGN.md §4). All
-// generators are fully deterministic given their seed.
+// generators stand in for them, and FromTrace loads the real logs where
+// they are available (README, "Workloads & traces"). All generators are
+// fully deterministic given their seed.
 package workload
 
 import (
