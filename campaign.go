@@ -80,18 +80,11 @@ func (p Point) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON is MarshalJSON's inverse: an absent (or null)
 // malleable_fraction decodes to the -1 keep-mix sentinel rather than
 // to 0, which would silently mean "re-flag zero jobs malleable".
-// Scale and Seed are taken verbatim, without PointSpec's defaulting —
-// except through a workload_ref, whose materialisation is defined to
-// include it.
+// Scale and Seed are taken verbatim, without PointSpec's defaulting.
 func (p *Point) UnmarshalJSON(data []byte) error {
 	var s PointSpec
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
-	}
-	if s.Ref != nil {
-		full := s.Ref.PointSpec(s.Options).Point()
-		*p = full
-		return nil
 	}
 	p.Workload, p.Scale, p.Seed, p.Options = s.Workload, s.Scale, s.Seed, s.Options
 	p.MalleableFraction = -1
@@ -163,41 +156,8 @@ func (p Point) canonical() Point {
 		// points share one cache entry.
 		p.Scale, p.Seed = 1, 1
 	}
-	p.Options = p.Options.canonical()
+	p.Options = p.Options.Canonical()
 	return p
-}
-
-// canonical fills every defaulted Options field with its effective
-// value, mirroring toConfig, so Options values are usable as cache keys.
-func (o Options) canonical() Options {
-	if o.Policy == "" {
-		o.Policy = "static"
-	}
-	if o.MaxSlowdown <= 0 {
-		o.MaxSlowdown = math.Inf(1)
-	}
-	if o.Model == "" {
-		o.Model = "ideal"
-	}
-	if o.SharingFactor <= 0 {
-		o.SharingFactor = 0.5
-	}
-	if o.MaxMates <= 0 {
-		o.MaxMates = 2
-	}
-	if o.CandidateCap <= 0 {
-		o.CandidateCap = 64
-	}
-	if o.BackfillDepth <= 0 {
-		o.BackfillDepth = 100
-	}
-	if o.Backfill == "" {
-		o.Backfill = "conservative"
-	}
-	if o.Policy == "oversubscribe" && o.OversubPenalty <= 0 {
-		o.OversubPenalty = 0.15
-	}
-	return o
 }
 
 // PointSpec is the JSON wire form of a Point, shared by the sdserve
@@ -214,31 +174,17 @@ type PointSpec struct {
 	Seed              uint64       `json:"seed,omitempty"`
 	MalleableFraction *float64     `json:"malleable_fraction,omitempty"`
 	Derivations       []Derivation `json:"derivations,omitempty"`
-	// Ref is the unified workload address ({name|trace, scale, seed,
-	// derivations}); when present it replaces the loose fields above,
-	// which must stay empty. Points always echo the loose form, so
-	// streamed output is byte-stable regardless of which spelling the
-	// request used.
-	Ref     *WorkloadRef `json:"workload_ref,omitempty"`
-	Options Options      `json:"options"`
+	Options           Options      `json:"options"`
 }
 
 // Validate rejects spec fields the wire layers must refuse before
 // Point() collapses them into the Point sentinel encodings: a missing
 // workload, an out-of-range MalleableFraction (a negative value would
-// otherwise silently mean "keep the generated mix"), structurally
-// invalid derivations, and a workload_ref mixed with the loose legacy
-// fields it replaces. Errors are tagged ErrBadInput. Everything else —
+// otherwise silently mean "keep the generated mix") and structurally
+// invalid derivations. Errors are tagged ErrBadInput. Everything else —
 // unknown workload, bad policy, NaN floats — is rejected later by
 // Engine.Run.
 func (s PointSpec) Validate() error {
-	if s.Ref != nil {
-		if s.Workload != "" || s.Scale != 0 || s.Seed != 0 ||
-			s.MalleableFraction != nil || len(s.Derivations) != 0 {
-			return fmt.Errorf("sdpolicy: workload_ref cannot be combined with the legacy workload/scale/seed/malleable_fraction/derivations fields: %w", ErrBadInput)
-		}
-		return s.Ref.Validate()
-	}
 	if s.Workload == "" {
 		return fmt.Errorf("sdpolicy: point workload missing: %w", ErrBadInput)
 	}
@@ -257,9 +203,6 @@ func (s PointSpec) Validate() error {
 // validation — call Validate first for the wire-level checks; Engine.Run
 // rejects the remaining bad fields with ErrBadInput.
 func (s PointSpec) Point() Point {
-	if s.Ref != nil {
-		s = s.Ref.PointSpec(s.Options)
-	}
 	scale, seed := s.Scale, s.Seed
 	if scale == 0 {
 		scale = 1

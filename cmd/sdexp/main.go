@@ -35,8 +35,8 @@
 //
 // -trace file1.swf,file2.swf registers SWF traces before the run; each
 // compiles to an immutable workload addressable as trace:<digest>
-// anywhere a generator name is accepted (points files, workload_ref,
-// the real_trace experiment's trace parameter). The digest is printed
+// anywhere a generator name is accepted (the workload field of points
+// files, the real_trace experiment's trace parameter). The digest is printed
 // on stderr at registration. For -server runs the remote deployment
 // must hold the same traces (sdserve -trace-dir).
 //

@@ -2,72 +2,89 @@
 // the evaluation metrics of the paper (makespan, average response time,
 // average slowdown, energy, malleability counters).
 //
+// The policy flags each set one field of sched.Options, the same
+// configuration a campaign point carries, so an sdsim run prints the
+// numbers of the equivalent point. -swf registers an SWF trace as
+// trace:<digest>; the machine comes from the trace's header comments.
+//
 // Examples:
 //
 //	sdsim -wl wl1 -scale 0.25 -policy sd -maxsd 10
-//	sdsim -wl wl4 -scale 0.1 -policy sd -maxsd dyn -model worst
-//	sdsim -swf trace.swf -cores-per-node 16 -nodes 5040 -policy static
+//	sdsim -wl wl4 -scale 0.1 -policy sd -cutoff avg -model worst
+//	sdsim -swf trace.swf -policy static
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"strconv"
 
-	"sdpolicy/internal/apps"
-	"sdpolicy/internal/cluster"
-	"sdpolicy/internal/job"
-	"sdpolicy/internal/model"
+	"sdpolicy"
 	"sdpolicy/internal/sched"
-	"sdpolicy/internal/swf"
 	"sdpolicy/internal/trace"
 	"sdpolicy/internal/workload"
 )
 
 func main() {
-	var (
-		wlName    = flag.String("wl", "wl5", "workload preset: wl1..wl5")
-		swfPath   = flag.String("swf", "", "load an SWF trace instead of a preset")
-		nodes     = flag.Int("nodes", 0, "machine nodes when loading SWF")
-		cpn       = flag.Int("cores-per-node", 48, "cores per node when loading SWF")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor (0,1]")
-		seed      = flag.Uint64("seed", 1, "workload generator seed")
-		policy    = flag.String("policy", "static", "policy: static | sd | oversub")
-		maxsd     = flag.String("maxsd", "inf", "MAX_SLOWDOWN: number, inf, dyn, dyn-median, dyn-p70")
-		mdl       = flag.String("model", "ideal", "runtime model: ideal | worst | app")
-		sf        = flag.Float64("sf", 0.5, "sharing factor")
-		mates     = flag.Int("mates", 2, "max mates per malleable start")
-		depth     = flag.Int("depth", 100, "backfill depth")
-		freeMix   = flag.Bool("free", false, "allow mixing free nodes into mate selections")
-		mallFrac  = flag.Float64("malleable", -1, "override malleable job fraction (0..1)")
-		verbose   = flag.Bool("v", false, "print per-day series and heatmap summaries")
-		traceFile = flag.String("trace", "", "write a CSV scheduling-event trace to this file")
-		timeline  = flag.String("timeline", "", "write a CSV core-usage timeline to this file")
-	)
-	flag.Parse()
-
-	spec, err := loadWorkload(*wlName, *swfPath, *nodes, *cpn, *scale, *seed)
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdsim:", err)
 		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	var opt sched.Options
+	d := sched.Defaults()
+	fs := flag.NewFlagSet("sdsim", flag.ContinueOnError)
+	wlName := fs.String("wl", "wl5", "workload preset: wl1..wl5")
+	swfPath := fs.String("swf", "", "register an SWF trace and run it instead of a preset")
+	scale := fs.Float64("scale", 1.0, "workload scale factor (0,1]")
+	seed := fs.Uint64("seed", 1, "workload generator seed")
+	fs.StringVar(&opt.Policy, "policy", "static", "policy: static | sd | oversubscribe")
+	fs.Float64Var(&opt.MaxSlowdown, "maxsd", 0, "static MAX_SLOWDOWN cut-off (0 or inf: none)")
+	fs.StringVar(&opt.DynamicCutoff, "cutoff", "", "dynamic cut-off: avg | median | p70 (empty: static -maxsd)")
+	fs.StringVar(&opt.Model, "model", "ideal", "runtime model: ideal | worst | app")
+	fs.Float64Var(&opt.SharingFactor, "sf", d.SharingFactor, "sharing factor")
+	fs.IntVar(&opt.MaxMates, "mates", d.MaxMates, "max mates per malleable start")
+	fs.IntVar(&opt.BackfillDepth, "depth", d.BackfillDepth, "conservative backfill depth")
+	fs.BoolVar(&opt.IncludeFreeNodes, "free", false, "allow mixing free nodes into mate selections")
+	mallFrac := fs.Float64("malleable", -1, "override malleable job fraction (0..1)")
+	verbose := fs.Bool("v", false, "print per-day series and heatmap summaries")
+	traceFile := fs.String("trace", "", "write a CSV scheduling-event trace to this file")
+	timeline := fs.String("timeline", "", "write a CSV core-usage timeline to this file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	name := *wlName
+	if *swfPath != "" {
+		info, err := sdpolicy.RegisterTraceFile(*swfPath)
+		if err != nil {
+			return err
+		}
+		name = info.Ref
+	}
+	spec, err := workload.Shared.Get(name, *scale, *seed)
+	if err != nil {
+		return err
 	}
 	if *mallFrac >= 0 {
-		// Variants are derivations over the immutable generated spec, not
+		// Variants are derivations over the immutable shared spec, not
 		// in-place mutations — same pipeline as the campaign engine.
-		derived, err := workload.Derive(&spec, []workload.Derivation{workload.MalleableFraction(*mallFrac)})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sdsim:", err)
-			os.Exit(1)
+		if spec, err = workload.Derive(spec, []workload.Derivation{workload.MalleableFraction(*mallFrac)}); err != nil {
+			return err
 		}
-		spec = *derived
 	}
 
-	cfg, err := buildConfig(*policy, *maxsd, *mdl, *sf, *mates, *depth, *freeMix)
+	cfg, err := opt.Config()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sdsim:", err)
-		os.Exit(1)
+		return err
 	}
 	var rec *trace.Recorder
 	if *traceFile != "" || *timeline != "" {
@@ -75,20 +92,19 @@ func main() {
 		cfg.Observer = rec
 	}
 
-	res, err := sched.Run(spec, cfg)
+	res, err := sched.Run(*spec, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sdsim:", err)
-		os.Exit(1)
+		return err
 	}
-	printResult(&spec, res, *verbose)
+	printResult(stdout, spec, res, *verbose)
 	if rec != nil {
 		if err := writeTraces(rec, *traceFile, *timeline); err != nil {
-			fmt.Fprintln(os.Stderr, "sdsim:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("utilization   %.1f%% of cores over the run\n",
+		fmt.Fprintf(stdout, "utilization   %.1f%% of cores over the run\n",
 			100*rec.MeanUtilization(spec.Cluster.TotalCores()))
 	}
+	return nil
 }
 
 func writeTraces(rec *trace.Recorder, traceFile, timeline string) error {
@@ -115,99 +131,27 @@ func writeTraces(rec *trace.Recorder, traceFile, timeline string) error {
 	return nil
 }
 
-func loadWorkload(preset, swfPath string, nodes, cpn int, scale float64, seed uint64) (workload.Spec, error) {
-	if swfPath == "" {
-		return workload.ByName(preset, scale, seed)
-	}
-	f, err := os.Open(swfPath)
-	if err != nil {
-		return workload.Spec{}, err
-	}
-	defer f.Close()
-	recs, err := swf.Parse(f)
-	if err != nil {
-		return workload.Spec{}, err
-	}
-	jobs := swf.ToJobs(recs, cpn, job.Malleable)
-	workload.SortBySubmit(jobs)
-	if nodes <= 0 {
-		return workload.Spec{}, fmt.Errorf("-nodes required with -swf")
-	}
-	return workload.Spec{
-		Name:    swfPath,
-		Cluster: cluster.Config{Nodes: nodes, Sockets: 2, CoresPerSocket: (cpn + 1) / 2},
-		Jobs:    jobs,
-	}, nil
-}
-
-func buildConfig(policy, maxsd, mdl string, sf float64, mates, depth int, freeMix bool) (sched.Config, error) {
-	cfg := sched.Defaults()
-	switch policy {
-	case "static":
-		cfg.Policy = sched.StaticBackfill
-	case "sd":
-		cfg.Policy = sched.SDPolicy
-	case "oversub":
-		cfg.Policy = sched.Oversubscribe
-		cfg.OversubPenalty = 0.15
-	default:
-		return cfg, fmt.Errorf("unknown policy %q", policy)
-	}
-	switch maxsd {
-	case "inf":
-		cfg.MaxSlowdown = math.Inf(1)
-	case "dyn":
-		cfg.Cutoff = sched.CutoffDynAvg
-	case "dyn-median":
-		cfg.Cutoff = sched.CutoffDynMedian
-	case "dyn-p70":
-		cfg.Cutoff = sched.CutoffDynP70
-	default:
-		v, err := strconv.ParseFloat(maxsd, 64)
-		if err != nil {
-			return cfg, fmt.Errorf("bad -maxsd %q", maxsd)
-		}
-		cfg.MaxSlowdown = v
-	}
-	switch mdl {
-	case "ideal":
-		cfg.RuntimeModel = model.Ideal
-	case "worst":
-		cfg.RuntimeModel = model.WorstCase
-	case "app":
-		cfg.RuntimeModel = model.App
-		cfg.Speedups = apps.SpeedupProvider
-	default:
-		return cfg, fmt.Errorf("unknown model %q", mdl)
-	}
-	cfg.SharingFactor = sf
-	cfg.MaxMates = mates
-	cfg.BackfillDepth = depth
-	cfg.IncludeFreeNodes = freeMix
-	return cfg, nil
-}
-
-func printResult(spec *workload.Spec, res *sched.Result, verbose bool) {
+func printResult(w io.Writer, spec *workload.Spec, res *sched.Result, verbose bool) {
 	rep := &res.Report
-	fmt.Printf("workload      %s (%d jobs, %d nodes x %d cores)\n",
+	fmt.Fprintf(w, "workload      %s (%d jobs, %d nodes x %d cores)\n",
 		res.Workload, len(spec.Jobs), spec.Cluster.Nodes, spec.Cluster.CoresPerNode())
-	fmt.Printf("policy        %s\n", res.Policy)
-	fmt.Printf("makespan      %d s\n", rep.Makespan())
-	fmt.Printf("avg response  %.1f s\n", rep.AvgResponse())
-	fmt.Printf("avg wait      %.1f s\n", rep.AvgWait())
-	fmt.Printf("avg slowdown  %.1f\n", rep.AvgSlowdown())
-	fmt.Printf("energy        %.1f kWh\n", res.EnergyJoules/3.6e6)
-	fmt.Printf("malleable     %d starts (%.1f%%), %d mates (%.1f%%)\n",
+	fmt.Fprintf(w, "policy        %s\n", res.Policy)
+	fmt.Fprintf(w, "makespan      %d s\n", rep.Makespan())
+	fmt.Fprintf(w, "avg response  %.1f s\n", rep.AvgResponse())
+	fmt.Fprintf(w, "avg wait      %.1f s\n", rep.AvgWait())
+	fmt.Fprintf(w, "avg slowdown  %.1f\n", rep.AvgSlowdown())
+	fmt.Fprintf(w, "energy        %.1f kWh\n", res.EnergyJoules/3.6e6)
+	fmt.Fprintf(w, "malleable     %d starts (%.1f%%), %d mates (%.1f%%)\n",
 		res.MalleableStarts, 100*float64(res.MalleableStarts)/float64(len(spec.Jobs)),
 		res.Mates, 100*float64(res.Mates)/float64(len(spec.Jobs)))
-	fmt.Printf("drom          %d registered, %d mask sets\n", res.DROM.Registered, res.DROM.MaskSets)
-	fmt.Printf("sim           %d events, %d passes\n", res.Events, res.Passes)
+	fmt.Fprintf(w, "drom          %d registered, %d mask sets\n", res.DROM.Registered, res.DROM.MaskSets)
+	fmt.Fprintf(w, "sim           %d events, %d passes\n", res.Events, res.Passes)
 	if !verbose {
 		return
 	}
-	fmt.Println("\nper-day slowdown:")
+	fmt.Fprintln(w, "\nper-day slowdown:")
 	for _, d := range rep.Daily() {
-		fmt.Printf("  day %3d  jobs %6d  avg-slowdown %10.1f  malleable %5d\n",
+		fmt.Fprintf(w, "  day %3d  jobs %6d  avg-slowdown %10.1f  malleable %5d\n",
 			d.Day, d.Jobs, d.AvgSlowdown, d.MalleableStarts)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"sdpolicy/internal/reducer"
 )
@@ -525,8 +526,7 @@ func realTraceInstance(p reducer.Params) (*expInstance, error) {
 	if trace == "" {
 		return nil, fmt.Errorf("parameter \"trace\" is required")
 	}
-	ref := WorkloadRef{Trace: trace}
-	name := ref.WorkloadName()
+	name := TraceRef + strings.TrimPrefix(trace, TraceRef)
 	derivs := []Derivation{MalleableFractionDerivation(p.Float("malleable_fraction"))}
 	if f := p.Float("load_factor"); f != 1 {
 		derivs = append([]Derivation{ScaleLoadDerivation(f)}, derivs...)

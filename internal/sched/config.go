@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 
+	"sdpolicy/internal/apps"
 	"sdpolicy/internal/job"
 	"sdpolicy/internal/model"
 )
@@ -177,4 +178,132 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sched: oversubscription penalty %v out of [0,1)", c.OversubPenalty)
 	}
 	return nil
+}
+
+// Options is the one spelling of a scheduler configuration shared by
+// every caller: the campaign point wire form, the library API and
+// sdsim's flags. The zero value simulates the static
+// conservative-backfill baseline under the ideal runtime model.
+type Options struct {
+	// Policy is "static" (default), "sd", or "oversubscribe" — the
+	// non-adaptive node-sharing baseline of the paper's related work.
+	Policy string `json:"policy,omitempty"`
+	// MaxSlowdown is the static MAX_SLOWDOWN cut-off; 0 means infinite.
+	MaxSlowdown float64 `json:"max_slowdown,omitempty"`
+	// DynamicCutoff selects feedback cut-offs: "" (static), "avg"
+	// (DynAVGSD), "median", or "p70".
+	DynamicCutoff string `json:"dynamic_cutoff,omitempty"`
+	// Model is "ideal" (default), "worst", or "app".
+	Model string `json:"model,omitempty"`
+	// SharingFactor defaults to Defaults().SharingFactor.
+	SharingFactor float64 `json:"sharing_factor,omitempty"`
+	// MaxMates defaults to Defaults().MaxMates.
+	MaxMates int `json:"max_mates,omitempty"`
+	// CandidateCap defaults to Defaults().CandidateCap.
+	CandidateCap int `json:"candidate_cap,omitempty"`
+	// BackfillDepth defaults to Defaults().BackfillDepth.
+	BackfillDepth int `json:"backfill_depth,omitempty"`
+	// Backfill selects the reservation discipline: "conservative"
+	// (default — every examined waiting job holds a reservation) or
+	// "easy" (only the queue head does).
+	Backfill string `json:"backfill,omitempty"`
+	// IncludeFreeNodes enables mixing free nodes into mate selections.
+	IncludeFreeNodes bool `json:"include_free_nodes,omitempty"`
+	// DROMOverhead is the simulated seconds per reconfiguration.
+	DROMOverhead int64 `json:"drom_overhead,omitempty"`
+	// OversubPenalty is the fractional throughput loss per shared job
+	// under the "oversubscribe" policy (default 0.15).
+	OversubPenalty float64 `json:"oversub_penalty,omitempty"`
+}
+
+// Canonical fills every defaulted field with its effective value, so
+// equal configurations compare equal and Options values are usable as
+// cache keys. Numeric defaults come from Defaults; a non-positive (or
+// NaN) value selects the default.
+func (o Options) Canonical() Options {
+	d := Defaults()
+	if o.Policy == "" {
+		o.Policy = "static"
+	}
+	if !(o.MaxSlowdown > 0) {
+		o.MaxSlowdown = d.MaxSlowdown
+	}
+	if o.Model == "" {
+		o.Model = "ideal"
+	}
+	if !(o.SharingFactor > 0) {
+		o.SharingFactor = d.SharingFactor
+	}
+	if o.MaxMates <= 0 {
+		o.MaxMates = d.MaxMates
+	}
+	if o.CandidateCap <= 0 {
+		o.CandidateCap = d.CandidateCap
+	}
+	if o.BackfillDepth <= 0 {
+		o.BackfillDepth = d.BackfillDepth
+	}
+	if o.Backfill == "" {
+		o.Backfill = "conservative"
+	}
+	if o.Policy == "oversubscribe" && !(o.OversubPenalty > 0) {
+		o.OversubPenalty = 0.15
+	}
+	return o
+}
+
+// Config converts the canonical options to a runnable Config. It
+// rejects unknown names; numeric ranges are left to Config.Validate.
+func (o Options) Config() (Config, error) {
+	o = o.Canonical()
+	cfg := Defaults()
+	switch o.Policy {
+	case "static":
+		cfg.Policy = StaticBackfill
+	case "sd":
+		cfg.Policy = SDPolicy
+	case "oversubscribe":
+		cfg.Policy = Oversubscribe
+		cfg.OversubPenalty = o.OversubPenalty
+	default:
+		return cfg, fmt.Errorf("unknown policy %q", o.Policy)
+	}
+	switch o.DynamicCutoff {
+	case "":
+	case "avg":
+		cfg.Cutoff = CutoffDynAvg
+	case "median":
+		cfg.Cutoff = CutoffDynMedian
+	case "p70":
+		cfg.Cutoff = CutoffDynP70
+	default:
+		return cfg, fmt.Errorf("unknown dynamic cutoff %q", o.DynamicCutoff)
+	}
+	switch o.Model {
+	case "ideal":
+		cfg.RuntimeModel = model.Ideal
+	case "worst":
+		cfg.RuntimeModel = model.WorstCase
+	case "app":
+		cfg.RuntimeModel = model.App
+		cfg.Speedups = apps.SpeedupProvider
+	default:
+		return cfg, fmt.Errorf("unknown model %q", o.Model)
+	}
+	switch o.Backfill {
+	case "conservative":
+		cfg.ReservationDepth = o.BackfillDepth
+	case "easy":
+		cfg.ReservationDepth = 1
+	default:
+		return cfg, fmt.Errorf("unknown backfill discipline %q", o.Backfill)
+	}
+	cfg.MaxSlowdown = o.MaxSlowdown
+	cfg.SharingFactor = o.SharingFactor
+	cfg.MaxMates = o.MaxMates
+	cfg.CandidateCap = o.CandidateCap
+	cfg.BackfillDepth = o.BackfillDepth
+	cfg.IncludeFreeNodes = o.IncludeFreeNodes
+	cfg.DROMOverhead = o.DROMOverhead
+	return cfg, nil
 }

@@ -463,7 +463,6 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	markLegacyWorkloadShape(w, req.Points...)
 	id := canonicalCampaignID(r.Header.Get("X-Campaign-ID"))
 	cs := newCampaignState(id, points, req.Reports, req.Trace)
 	if !s.resources.add(cs) {

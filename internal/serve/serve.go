@@ -194,9 +194,11 @@ func (s *Server) BeginShutdown() {
 }
 
 // SimulateRequest is the /v1/simulate body: one campaign point in the
-// shared wire form. Scale and Seed default to 1; Options defaults to
-// the static baseline under the ideal model; MalleableFraction, when
-// present, re-flags that fraction of jobs malleable before simulating.
+// shared wire form, the same loose fields every result echoes. Scale
+// and Seed default to 1; Options defaults to the static baseline under
+// the ideal model; MalleableFraction, when present, re-flags that
+// fraction of jobs malleable before simulating. Unknown fields are a
+// 400.
 type SimulateRequest = sdpolicy.PointSpec
 
 // Health is the /healthz reply.
@@ -236,7 +238,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	markLegacyWorkloadShape(w, req)
 	if !s.acquire(w, r.Context()) {
 		return
 	}

@@ -29,8 +29,8 @@ type WorkloadInfo struct {
 }
 
 // WorkloadList is the GET /v1/workloads reply: every addressable
-// workload plus the full derivation-op schema accepted in WorkloadRef
-// and PointSpec derivation chains.
+// workload plus the full derivation-op schema accepted in PointSpec
+// derivation chains.
 type WorkloadList struct {
 	Workloads   []WorkloadInfo              `json:"workloads"`
 	Derivations []sdpolicy.DerivationOpSpec `json:"derivations"`
@@ -150,19 +150,4 @@ func (s *Server) handleWorkloadByRef(w http.ResponseWriter, r *http.Request) {
 		Cores:  wl.Cores(),
 		Params: generatorParams(),
 	})
-}
-
-// markLegacyWorkloadShape applies the PR 9 deprecation convention to
-// requests still addressing workloads through the loose
-// workload/scale/seed fields instead of a workload_ref: success bytes
-// stay frozen, the headers advertise the successor shape out-of-band.
-// One helper, shared by every endpoint accepting point specs.
-func markLegacyWorkloadShape(w http.ResponseWriter, specs ...sdpolicy.PointSpec) {
-	for _, spec := range specs {
-		if spec.Ref == nil && spec.Workload != "" {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</v1/workloads>; rel="successor-version"`)
-			return
-		}
-	}
 }

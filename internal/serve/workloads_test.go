@@ -123,61 +123,49 @@ func TestWorkloadDetail(t *testing.T) {
 	}
 }
 
-// TestSimulateWorkloadRef: the unified ref shape must produce the
-// legacy shape's bytes exactly, with the deprecation headers marking
-// only the legacy spelling.
+// TestSimulateWorkloadRef: the loose fields are the one point
+// spelling. A workload_ref body fails the strict decode with the 400
+// envelope, and a loose body carries no deprecation headers.
 func TestSimulateWorkloadRef(t *testing.T) {
 	srv := testServer(t)
-	legacy := postJSON(t, srv.URL+"/v1/simulate",
+	loose := postJSON(t, srv.URL+"/v1/simulate",
 		`{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"sd","max_slowdown":10}}`)
-	if legacy.StatusCode != http.StatusOK {
-		t.Fatalf("legacy status %d", legacy.StatusCode)
+	if loose.StatusCode != http.StatusOK {
+		t.Fatalf("loose status %d", loose.StatusCode)
 	}
-	if legacy.Header.Get("Deprecation") != "true" ||
-		legacy.Header.Get("Link") != `</v1/workloads>; rel="successor-version"` {
-		t.Fatalf("legacy shape not marked deprecated: %v", legacy.Header)
+	if h := loose.Header; h.Get("Deprecation") != "" || h.Get("Link") != "" {
+		t.Fatalf("loose shape marked deprecated: %v", h)
 	}
-	ref := postJSON(t, srv.URL+"/v1/simulate",
-		`{"workload_ref":{"name":"wl5","scale":0.15,"seed":1},"options":{"policy":"sd","max_slowdown":10}}`)
-	if ref.StatusCode != http.StatusOK {
-		t.Fatalf("ref status %d", ref.StatusCode)
-	}
-	if ref.Header.Get("Deprecation") != "" {
-		t.Fatal("ref shape marked deprecated")
-	}
-	var legacyBody, refBody json.RawMessage
-	if err := json.NewDecoder(legacy.Body).Decode(&legacyBody); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(ref.Body).Decode(&refBody); err != nil {
-		t.Fatal(err)
-	}
-	if string(legacyBody) != string(refBody) {
-		t.Fatalf("shapes answer differently:\n%s\nvs\n%s", legacyBody, refBody)
-	}
-
-	// Mixing the shapes is ambiguous and rejected.
-	mixed := postJSON(t, srv.URL+"/v1/simulate",
-		`{"workload":"wl5","workload_ref":{"name":"wl5"},"options":{}}`)
-	if mixed.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mixed shapes status %d", mixed.StatusCode)
+	for _, body := range []string{
+		`{"workload_ref":{"name":"wl5","scale":0.15,"seed":1},"options":{"policy":"sd","max_slowdown":10}}`,
+		`{"workload":"wl5","workload_ref":{"name":"wl5"},"options":{}}`,
+	} {
+		resp := postJSON(t, srv.URL+"/v1/simulate", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+		var env ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Code != "bad_request" {
+			t.Fatalf("%s: envelope %v %+v", body, err, env)
+		}
 	}
 }
 
 // TestTraceCampaignLocalVsCoordinator is the acceptance scenario: the
 // registered trace at 1.5x load with 30% malleable jobs, static vs SD,
-// addressed through workload_ref, must produce identical results from
-// a local engine, a single worker, and a 2-worker coordinator fleet.
+// addressed as "workload":"trace:<digest>", must produce identical
+// results from a local engine, a single worker, and a 2-worker
+// coordinator fleet.
 func TestTraceCampaignLocalVsCoordinator(t *testing.T) {
 	info := registerServeTrace(t)
 	body := fmt.Sprintf(`{"points":[
-		{"workload_ref":{"trace":%q,"derivations":[
+		{"workload":%q,"derivations":[
 			{"op":"scale_load","fraction":0,"factor":1.5},
-			{"op":"malleable_fraction","fraction":0.3}]},
+			{"op":"malleable_fraction","fraction":0.3}],
 		 "options":{"policy":"static"}},
-		{"workload_ref":{"trace":%q,"derivations":[
+		{"workload":%q,"derivations":[
 			{"op":"scale_load","fraction":0,"factor":1.5},
-			{"op":"malleable_fraction","fraction":0.3}]},
+			{"op":"malleable_fraction","fraction":0.3}],
 		 "options":{"policy":"sd","max_slowdown":10}}
 	]}`, info.Ref, info.Ref)
 
@@ -205,7 +193,7 @@ func TestTraceCampaignLocalVsCoordinator(t *testing.T) {
 func TestUnknownTraceDigestRejected(t *testing.T) {
 	srv := testServer(t)
 	resp := postJSON(t, srv.URL+"/v1/simulate",
-		`{"workload_ref":{"trace":"trace:ffffffffffffffff"},"options":{}}`)
+		`{"workload":"trace:ffffffffffffffff","options":{}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}

@@ -56,16 +56,10 @@ type Header struct {
 	CoresPerNode int
 }
 
-// Parse reads all records from r, skipping comments and blank lines.
-func Parse(r io.Reader) ([]Record, error) {
-	recs, _, err := ParseWithHeader(r)
-	return recs, err
-}
-
-// ParseWithHeader is Parse, additionally extracting the machine
-// geometry declared in "; Key: value" header comments. Unknown header
-// keys and malformed values are ignored — headers are advisory in the
-// archive, never an error.
+// ParseWithHeader reads all records from r, skipping blank lines, and
+// extracts the machine geometry declared in "; Key: value" header
+// comments. Unknown header keys and malformed values are ignored —
+// headers are advisory in the archive, never an error.
 func ParseWithHeader(r io.Reader) ([]Record, Header, error) {
 	var out []Record
 	var hdr Header

@@ -18,7 +18,7 @@ const sample = `; SWF header
 `
 
 func TestParse(t *testing.T) {
-	recs, err := Parse(strings.NewReader(sample))
+	recs, _, err := ParseWithHeader(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,16 +36,16 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := Parse(strings.NewReader("1 2 3\n")); err == nil {
+	if _, _, err := ParseWithHeader(strings.NewReader("1 2 3\n")); err == nil {
 		t.Fatal("short line accepted")
 	}
-	if _, err := Parse(strings.NewReader(strings.Replace(sample, "3600", "abc", 1))); err == nil {
+	if _, _, err := ParseWithHeader(strings.NewReader(strings.Replace(sample, "3600", "abc", 1))); err == nil {
 		t.Fatal("non-integer field accepted")
 	}
 }
 
 func TestToJobs(t *testing.T) {
-	recs, err := Parse(strings.NewReader(sample))
+	recs, _, err := ParseWithHeader(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestToJobsClampsOverrun(t *testing.T) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	recs, err := Parse(strings.NewReader(sample))
+	recs, _, err := ParseWithHeader(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := Write(&buf, "generated by test\nsecond line", recs); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Parse(&buf)
+	again, _, err := ParseWithHeader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := Write(&buf, "property round trip", recs); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Parse(&buf)
+	again, _, err := ParseWithHeader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

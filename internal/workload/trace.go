@@ -33,16 +33,6 @@ func TraceDigest(name string) string {
 	return name[len(TracePrefix):]
 }
 
-// TraceConfig overrides the machine geometry inferred from an SWF
-// header. Zero fields defer to the header (MaxNodes / MaxProcs /
-// CoresPerNode comments); a trace declaring neither gets a single-core
-// node per processor.
-type TraceConfig struct {
-	Nodes          int
-	Sockets        int
-	CoresPerSocket int
-}
-
 // traceDigestVersion versions the digest preimage: bump it whenever
 // FromTrace's normalisation changes observable job streams, so stale
 // refs miss instead of silently resolving to different content.
@@ -57,8 +47,10 @@ const traceDigestVersion = "sdpolicy-trace-v1"
 // so the stream starts at 0. The digest covers the normalised machine
 // and job stream — not the raw bytes — so the same logical trace
 // reached through different headers or field orderings is one cache
-// entry, while any content difference is a different ref.
-func FromTrace(data []byte, cfg TraceConfig) (*Spec, string, error) {
+// entry, while any content difference is a different ref. The machine
+// comes from the header comments (MaxNodes/MaxProcs/CoresPerNode); a
+// trace declaring neither gets one single-core node per processor.
+func FromTrace(data []byte) (*Spec, string, error) {
 	recs, hdr, err := swf.ParseWithHeader(bytes.NewReader(data))
 	if err != nil {
 		return nil, "", err
@@ -67,26 +59,13 @@ func FromTrace(data []byte, cfg TraceConfig) (*Spec, string, error) {
 		return nil, "", fmt.Errorf("workload: trace has no job records")
 	}
 
-	// Machine geometry: explicit override, then header, then the
-	// 1-core-per-proc fallback.
-	cpn := 0
-	sockets := cfg.Sockets
-	if sockets <= 0 {
-		sockets = 1
-	}
-	if cfg.Sockets > 0 && cfg.CoresPerSocket > 0 {
-		cpn = cfg.Sockets * cfg.CoresPerSocket
-	} else if hdr.CoresPerNode > 0 {
-		cpn = hdr.CoresPerNode
-	} else if hdr.MaxNodes > 0 && hdr.MaxProcs >= hdr.MaxNodes {
+	// Cores per node: the header, then the 1-core-per-proc fallback.
+	cpn := hdr.CoresPerNode
+	if cpn <= 0 && hdr.MaxNodes > 0 && hdr.MaxProcs >= hdr.MaxNodes {
 		cpn = hdr.MaxProcs / hdr.MaxNodes
 	}
 	if cpn <= 0 {
 		cpn = 1
-	}
-	cps := cpn / sockets
-	if cps <= 0 {
-		sockets, cps = 1, cpn
 	}
 
 	// Dependent submits: a negative SubmitTime with PrecedingJob +
@@ -129,10 +108,7 @@ func FromTrace(data []byte, cfg TraceConfig) (*Spec, string, error) {
 		jobs[i].Submit -= base
 	}
 
-	nodes := cfg.Nodes
-	if nodes <= 0 {
-		nodes = hdr.MaxNodes
-	}
+	nodes := hdr.MaxNodes
 	if nodes <= 0 && hdr.MaxProcs > 0 {
 		nodes = (hdr.MaxProcs + cpn - 1) / cpn
 	}
@@ -143,7 +119,7 @@ func FromTrace(data []byte, cfg TraceConfig) (*Spec, string, error) {
 	}
 
 	spec := &Spec{
-		Cluster: cluster.Config{Nodes: nodes, Sockets: sockets, CoresPerSocket: cps},
+		Cluster: cluster.Config{Nodes: nodes, Sockets: 1, CoresPerSocket: cpn},
 		Jobs:    jobs,
 	}
 	spec.Name = TracePrefix + digestSpec(spec)
@@ -197,8 +173,8 @@ var Traces = &TraceRegistry{}
 // digest, returning the info record. Registration is idempotent: the
 // same content registers once regardless of source label (the first
 // source wins).
-func (t *TraceRegistry) Register(data []byte, cfg TraceConfig, source string) (TraceInfo, error) {
-	spec, digest, err := FromTrace(data, cfg)
+func (t *TraceRegistry) Register(data []byte, source string) (TraceInfo, error) {
+	spec, digest, err := FromTrace(data)
 	if err != nil {
 		return TraceInfo{}, err
 	}

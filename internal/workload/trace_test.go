@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"sdpolicy/internal/swf"
 )
 
 // traceSample is a small SWF log exercising the normalisation paths:
@@ -20,7 +24,7 @@ const traceSample = `; MaxNodes: 4
 `
 
 func TestFromTraceCompiles(t *testing.T) {
-	spec, digest, err := FromTrace([]byte(traceSample), TraceConfig{})
+	spec, digest, err := FromTrace([]byte(traceSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +54,11 @@ func TestFromTraceCompiles(t *testing.T) {
 }
 
 func TestFromTraceDeterministic(t *testing.T) {
-	a, da, err := FromTrace([]byte(traceSample), TraceConfig{})
+	a, da, err := FromTrace([]byte(traceSample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, db, err := FromTrace([]byte(traceSample), TraceConfig{})
+	b, db, err := FromTrace([]byte(traceSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +68,19 @@ func TestFromTraceDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("compiled specs differ across identical compilations")
 	}
-	// A geometry override changes observable content, so it must change
-	// the digest: the ref is a content address, not a file address.
-	c, dc, err := FromTrace([]byte(traceSample), TraceConfig{Nodes: 8})
+	// A different header geometry changes observable content, so it
+	// must change the digest: the ref is a content address, not a file
+	// address.
+	wider := strings.Replace(traceSample, "; MaxNodes: 4", "; MaxNodes: 8", 1)
+	c, dc, err := FromTrace([]byte(wider))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dc == da {
-		t.Fatal("geometry override did not change the digest")
+		t.Fatal("header geometry did not change the digest")
 	}
 	if c.Cluster.Nodes != 8 {
-		t.Fatalf("override ignored: %+v", c.Cluster)
+		t.Fatalf("header ignored: %+v", c.Cluster)
 	}
 }
 
@@ -82,7 +88,7 @@ func TestFromTraceShiftsSubmitsToZero(t *testing.T) {
 	shifted := strings.ReplaceAll(traceSample, "1 0 5 100", "1 1000 5 100")
 	shifted = strings.ReplaceAll(shifted, "2 30 -1 60", "2 1030 -1 60")
 	shifted = strings.ReplaceAll(shifted, "4 10 -1 0", "4 1010 -1 0")
-	spec, _, err := FromTrace([]byte(shifted), TraceConfig{})
+	spec, _, err := FromTrace([]byte(shifted))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +98,19 @@ func TestFromTraceShiftsSubmitsToZero(t *testing.T) {
 }
 
 func TestFromTraceRejectsEmpty(t *testing.T) {
-	if _, _, err := FromTrace([]byte("; header only\n"), TraceConfig{}); err == nil {
+	if _, _, err := FromTrace([]byte("; header only\n")); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 	// Records exist but none are usable.
 	unusable := "1 0 -1 0 -1 -1 -1 4 10 -1 1 -1 -1 -1 1 1 -1 -1\n"
-	if _, _, err := FromTrace([]byte(unusable), TraceConfig{}); err == nil {
+	if _, _, err := FromTrace([]byte(unusable)); err == nil {
 		t.Fatal("trace with no usable records accepted")
 	}
 }
 
 func TestTraceRegistry(t *testing.T) {
 	reg := &TraceRegistry{}
-	info, err := reg.Register([]byte(traceSample), TraceConfig{}, "first.swf")
+	info, err := reg.Register([]byte(traceSample), "first.swf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +119,7 @@ func TestTraceRegistry(t *testing.T) {
 	}
 	// Idempotent by content: a second registration under another label
 	// returns the first record.
-	again, err := reg.Register([]byte(traceSample), TraceConfig{}, "second.swf")
+	again, err := reg.Register([]byte(traceSample), "second.swf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +138,7 @@ func TestTraceRegistry(t *testing.T) {
 }
 
 func TestCacheResolvesTraceRefs(t *testing.T) {
-	info, err := Traces.Register([]byte(traceSample), TraceConfig{}, "cache-test.swf")
+	info, err := Traces.Register([]byte(traceSample), "cache-test.swf")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,4 +157,33 @@ func TestCacheResolvesTraceRefs(t *testing.T) {
 	if _, err := c.Get(TracePrefix+"0000000000000000", 1, 1); err == nil {
 		t.Fatal("unknown trace digest resolved through the cache")
 	}
+}
+
+// FuzzFromTrace compiles arbitrary bytes as an SWF log. It must not
+// panic; a compiled spec must be valid under a deterministic digest,
+// and the spec written back in sdgen's form (explicit Nodes and
+// CoresPerNode headers) must compile to the same digest. The seed is
+// testdata/sample.swf.
+func FuzzFromTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, digest, err := FromTrace(data)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("compiled spec invalid: %v", err)
+		}
+		if _, again, err := FromTrace(data); err != nil || again != digest {
+			t.Fatalf("recompile: digest %q, err %v; want %q", again, err, digest)
+		}
+		cpn := spec.Cluster.CoresPerNode()
+		var buf bytes.Buffer
+		header := fmt.Sprintf("Nodes: %d\nCoresPerNode: %d", spec.Cluster.Nodes, cpn)
+		if err := swf.Write(&buf, header, swf.FromJobs(spec.Jobs, cpn)); err != nil {
+			t.Fatal(err)
+		}
+		if _, rewritten, err := FromTrace(buf.Bytes()); err != nil || rewritten != digest {
+			t.Fatalf("sdgen form: digest %q, err %v; want %q\n%s", rewritten, err, digest, buf.Bytes())
+		}
+	})
 }

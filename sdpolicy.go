@@ -59,16 +59,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"os"
 
-	"sdpolicy/internal/apps"
-	"sdpolicy/internal/cluster"
-	"sdpolicy/internal/job"
 	"sdpolicy/internal/metrics"
-	"sdpolicy/internal/model"
 	"sdpolicy/internal/sched"
-	"sdpolicy/internal/swf"
 	"sdpolicy/internal/workload"
 )
 
@@ -216,29 +209,6 @@ func (w Workload) resolve() (*workload.Spec, error) {
 	return spec, nil
 }
 
-// LoadSWF reads a Standard Workload Format trace (e.g. the real RICC or
-// CEA-Curie logs from the Parallel Workloads Archive) onto a machine with
-// the given geometry. All jobs are treated as malleable.
-func LoadSWF(path string, nodes, sockets, coresPerSocket int) (Workload, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Workload{}, err
-	}
-	defer f.Close()
-	recs, err := swf.Parse(f)
-	if err != nil {
-		return Workload{}, err
-	}
-	cfg := cluster.Config{Nodes: nodes, Sockets: sockets, CoresPerSocket: coresPerSocket}
-	jobs := swf.ToJobs(recs, cfg.CoresPerNode(), job.Malleable)
-	workload.SortBySubmit(jobs)
-	spec := &workload.Spec{Name: path, Cluster: cfg, Jobs: jobs}
-	if err := spec.Validate(); err != nil {
-		return Workload{}, err
-	}
-	return Workload{spec: spec}, nil
-}
-
 // Name returns the workload identifier.
 func (w Workload) Name() string { return w.base().Name }
 
@@ -302,107 +272,11 @@ func (w Workload) AppShares() map[string]float64 {
 	return out
 }
 
-// Options configures one simulation. The zero value simulates the static
-// conservative-backfill baseline under the ideal runtime model.
-type Options struct {
-	// Policy is "static" (default), "sd", or "oversubscribe" — the
-	// non-adaptive node-sharing baseline of the paper's related work.
-	Policy string `json:"policy,omitempty"`
-	// MaxSlowdown is the static MAX_SLOWDOWN cut-off; 0 means infinite.
-	MaxSlowdown float64 `json:"max_slowdown,omitempty"`
-	// DynamicCutoff selects feedback cut-offs: "" (static), "avg"
-	// (DynAVGSD), "median", or "p70".
-	DynamicCutoff string `json:"dynamic_cutoff,omitempty"`
-	// Model is "ideal" (default), "worst", or "app".
-	Model string `json:"model,omitempty"`
-	// SharingFactor defaults to 0.5 (one of two sockets).
-	SharingFactor float64 `json:"sharing_factor,omitempty"`
-	// MaxMates defaults to 2.
-	MaxMates int `json:"max_mates,omitempty"`
-	// CandidateCap defaults to 64.
-	CandidateCap int `json:"candidate_cap,omitempty"`
-	// BackfillDepth defaults to 100.
-	BackfillDepth int `json:"backfill_depth,omitempty"`
-	// Backfill selects the reservation discipline: "conservative"
-	// (default — every examined waiting job holds a reservation) or
-	// "easy" (only the queue head does).
-	Backfill string `json:"backfill,omitempty"`
-	// IncludeFreeNodes enables mixing free nodes into mate selections.
-	IncludeFreeNodes bool `json:"include_free_nodes,omitempty"`
-	// DROMOverhead is the simulated seconds per reconfiguration.
-	DROMOverhead int64 `json:"drom_overhead,omitempty"`
-	// OversubPenalty is the fractional throughput loss per shared job
-	// under the "oversubscribe" policy (default 0.15).
-	OversubPenalty float64 `json:"oversub_penalty,omitempty"`
-}
-
-func (o Options) toConfig() (sched.Config, error) {
-	cfg := sched.Defaults()
-	switch o.Policy {
-	case "", "static":
-		cfg.Policy = sched.StaticBackfill
-	case "sd":
-		cfg.Policy = sched.SDPolicy
-	case "oversubscribe":
-		cfg.Policy = sched.Oversubscribe
-		cfg.OversubPenalty = 0.15
-		if o.OversubPenalty > 0 {
-			cfg.OversubPenalty = o.OversubPenalty
-		}
-	default:
-		return cfg, fmt.Errorf("sdpolicy: unknown policy %q: %w", o.Policy, ErrBadInput)
-	}
-	if o.MaxSlowdown > 0 {
-		cfg.MaxSlowdown = o.MaxSlowdown
-	} else {
-		cfg.MaxSlowdown = math.Inf(1)
-	}
-	switch o.DynamicCutoff {
-	case "":
-	case "avg":
-		cfg.Cutoff = sched.CutoffDynAvg
-	case "median":
-		cfg.Cutoff = sched.CutoffDynMedian
-	case "p70":
-		cfg.Cutoff = sched.CutoffDynP70
-	default:
-		return cfg, fmt.Errorf("sdpolicy: unknown dynamic cutoff %q: %w", o.DynamicCutoff, ErrBadInput)
-	}
-	switch o.Model {
-	case "", "ideal":
-		cfg.RuntimeModel = model.Ideal
-	case "worst":
-		cfg.RuntimeModel = model.WorstCase
-	case "app":
-		cfg.RuntimeModel = model.App
-		cfg.Speedups = apps.SpeedupProvider
-	default:
-		return cfg, fmt.Errorf("sdpolicy: unknown model %q: %w", o.Model, ErrBadInput)
-	}
-	if o.SharingFactor > 0 {
-		cfg.SharingFactor = o.SharingFactor
-	}
-	if o.MaxMates > 0 {
-		cfg.MaxMates = o.MaxMates
-	}
-	if o.CandidateCap > 0 {
-		cfg.CandidateCap = o.CandidateCap
-	}
-	if o.BackfillDepth > 0 {
-		cfg.BackfillDepth = o.BackfillDepth
-	}
-	switch o.Backfill {
-	case "", "conservative":
-		cfg.ReservationDepth = cfg.BackfillDepth
-	case "easy":
-		cfg.ReservationDepth = 1
-	default:
-		return cfg, fmt.Errorf("sdpolicy: unknown backfill discipline %q: %w", o.Backfill, ErrBadInput)
-	}
-	cfg.IncludeFreeNodes = o.IncludeFreeNodes
-	cfg.DROMOverhead = o.DROMOverhead
-	return cfg, nil
-}
+// Options configures one simulation; it is the scheduler's one
+// configuration spelling (see sched.Options for the fields and their
+// defaults). The zero value simulates the static conservative-backfill
+// baseline under the ideal runtime model.
+type Options = sched.Options
 
 // Result is the outcome of one simulation.
 type Result struct {
@@ -496,9 +370,9 @@ func Simulate(w Workload, opt Options) (*Result, error) {
 // an abandoned simulation aborts within milliseconds — returning an
 // error wrapping ctx.Err() — instead of running to completion.
 func SimulateContext(ctx context.Context, w Workload, opt Options) (*Result, error) {
-	cfg, err := opt.toConfig()
+	cfg, err := opt.Config()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sdpolicy: %w: %w", err, ErrBadInput)
 	}
 	spec, err := w.resolve()
 	if err != nil {

@@ -142,21 +142,28 @@ func TestAppShares(t *testing.T) {
 	}
 }
 
-func TestLoadSWFRoundTrip(t *testing.T) {
+// TestRegisterTraceFileRoundTrip: a registered SWF file resolves as a
+// workload whose machine comes from the trace header.
+func TestRegisterTraceFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.swf")
-	content := "; test trace\n" +
+	content := "; MaxNodes: 4\n; MaxProcs: 192\n" +
 		"1 0 -1 600 -1 -1 -1 96 1200 -1 1 -1 -1 -1 -1 -1 -1 -1\n" +
 		"2 60 -1 60 -1 -1 -1 48 300 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := LoadSWF(path, 4, 2, 24)
+	info, err := RegisterTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Jobs() != 2 || w.MaxJobNodes() != 2 {
-		t.Fatalf("loaded %d jobs, max %d nodes", w.Jobs(), w.MaxJobNodes())
+	w, err := NewWorkload(info.Ref, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Jobs() != 2 || w.MaxJobNodes() != 2 || w.Nodes() != 4 || w.Cores() != 192 {
+		t.Fatalf("loaded %d jobs, max %d nodes, machine %d nodes / %d cores",
+			w.Jobs(), w.MaxJobNodes(), w.Nodes(), w.Cores())
 	}
 	res, err := Simulate(w, Options{Policy: "sd"})
 	if err != nil {
@@ -165,7 +172,7 @@ func TestLoadSWFRoundTrip(t *testing.T) {
 	if res.Jobs != 2 {
 		t.Fatal("SWF jobs did not complete")
 	}
-	if _, err := LoadSWF(filepath.Join(dir, "missing.swf"), 4, 2, 24); err == nil {
+	if _, err := RegisterTraceFile(filepath.Join(dir, "missing.swf")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

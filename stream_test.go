@@ -1,6 +1,7 @@
 package sdpolicy
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -142,6 +143,54 @@ func TestPointSpecDefaultsAndRoundTrip(t *testing.T) {
 			t.Fatalf("Point round trip: %+v != %+v", back, p)
 		}
 	}
+}
+
+// FuzzPointSpecs decodes a points body as every wire layer does, with
+// unknown fields refused, and converts it. Every conversion error must
+// be ErrBadInput, and every point's echo must be a valid PointSpec that
+// resubmits to the same cache key. The seeds are the golden campaign's
+// points and a workload_ref body.
+func FuzzPointSpecs(f *testing.F) {
+	strict := func(data []byte, v any) error {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var specs []PointSpec
+		if strict(data, &specs) != nil {
+			return
+		}
+		points, err := PointsFromSpecs(specs)
+		if err != nil {
+			if !errors.Is(err, ErrBadInput) {
+				t.Fatalf("conversion error %v is not ErrBadInput", err)
+			}
+			return
+		}
+		for i, p := range points {
+			if err := p.validate(); err != nil {
+				if !errors.Is(err, ErrBadInput) {
+					t.Fatalf("point %d: validation error %v is not ErrBadInput", i, err)
+				}
+				continue
+			}
+			echo, err := json.Marshal(p)
+			if err != nil {
+				t.Fatalf("point %d: %v", i, err)
+			}
+			var spec PointSpec
+			if err := strict(echo, &spec); err != nil {
+				t.Fatalf("point %d: echo %s does not decode: %v", i, echo, err)
+			}
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("point %d: echo %s fails validation: %v", i, echo, err)
+			}
+			if got, want := spec.Point().canonical(), p.canonical(); got != want {
+				t.Fatalf("point %d: echo %s resubmits as\n%+v, want\n%+v", i, echo, got, want)
+			}
+		}
+	})
 }
 
 func TestPointSpecValidate(t *testing.T) {

@@ -42,7 +42,7 @@ func DerivationOps() []DerivationOpSpec { return workload.DerivationOps() }
 // single-core node per processor. Registration is idempotent by
 // content. source is a display label (typically the file path).
 func RegisterTrace(data []byte, source string) (TraceInfo, error) {
-	info, err := workload.Traces.Register(data, workload.TraceConfig{}, source)
+	info, err := workload.Traces.Register(data, source)
 	if err != nil {
 		return TraceInfo{}, fmt.Errorf("%w: %w", err, ErrBadInput)
 	}
@@ -94,59 +94,3 @@ func TraceByRef(ref string) (TraceInfo, bool) {
 
 // WorkloadNames lists the generator preset ids in Table 1 order.
 func WorkloadNames() []string { return workload.Names() }
-
-// WorkloadRef is the unified workload address of the HTTP wire forms:
-// exactly one of Name (a generator preset) or Trace (a registered
-// trace, with or without the "trace:" prefix), plus the generation
-// parameters and the derivation chain. It is the one shape accepted by
-// /v1/simulate and campaign PointSpecs, superseding the loose
-// workload/scale/seed fields.
-type WorkloadRef struct {
-	Name        string       `json:"name,omitempty"`
-	Trace       string       `json:"trace,omitempty"`
-	Scale       float64      `json:"scale,omitempty"`
-	Seed        uint64       `json:"seed,omitempty"`
-	Derivations []Derivation `json:"derivations,omitempty"`
-}
-
-// Validate rejects structurally invalid refs with ErrBadInput: both or
-// neither of name/trace set, or invalid derivations. Unknown names and
-// digests are rejected later, at resolution time.
-func (r WorkloadRef) Validate() error {
-	switch {
-	case r.Name == "" && r.Trace == "":
-		return fmt.Errorf("sdpolicy: workload ref needs name or trace: %w", ErrBadInput)
-	case r.Name != "" && r.Trace != "":
-		return fmt.Errorf("sdpolicy: workload ref sets both name %q and trace %q: %w", r.Name, r.Trace, ErrBadInput)
-	case r.Name != "" && IsTraceRef(r.Name):
-		return fmt.Errorf("sdpolicy: trace ref %q belongs in the trace field: %w", r.Name, ErrBadInput)
-	}
-	for i, d := range r.Derivations {
-		if err := d.Validate(); err != nil {
-			return fmt.Errorf("sdpolicy: derivation %d: %w: %w", i, err, ErrBadInput)
-		}
-	}
-	return nil
-}
-
-// WorkloadName collapses the ref's address into the single workload
-// name used by Points and the generation cache: the preset name, or
-// "trace:<digest>" (the prefix is added if the caller omitted it).
-func (r WorkloadRef) WorkloadName() string {
-	if r.Trace != "" {
-		return TraceRef + strings.TrimPrefix(r.Trace, TraceRef)
-	}
-	return r.Name
-}
-
-// PointSpec returns the wire-form campaign point this ref describes
-// under the given options.
-func (r WorkloadRef) PointSpec(opt Options) PointSpec {
-	return PointSpec{
-		Workload:    r.WorkloadName(),
-		Scale:       r.Scale,
-		Seed:        r.Seed,
-		Derivations: r.Derivations,
-		Options:     opt,
-	}
-}

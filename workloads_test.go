@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -29,114 +28,35 @@ func registerTestTrace(t *testing.T) TraceInfo {
 	return info
 }
 
-func TestWorkloadRefValidate(t *testing.T) {
-	valid := []WorkloadRef{
-		{Name: "wl1"},
-		{Name: "wl1", Scale: 0.5, Seed: 7},
-		{Trace: "trace:ca9b6a7f62b5e8e3"},
-		{Trace: "ca9b6a7f62b5e8e3"},
-		{Name: "wl1", Derivations: []Derivation{MalleableFractionDerivation(0.5)}},
-	}
-	for _, r := range valid {
-		if err := r.Validate(); err != nil {
-			t.Errorf("%+v rejected: %v", r, err)
-		}
-	}
-	invalid := []WorkloadRef{
-		{},
-		{Name: "wl1", Trace: "trace:ca9b6a7f62b5e8e3"},
-		{Name: "trace:ca9b6a7f62b5e8e3"}, // trace refs go in the trace field
-		{Name: "wl1", Derivations: []Derivation{{Op: "shrink_jobs"}}},
-	}
-	for _, r := range invalid {
-		err := r.Validate()
-		if err == nil {
-			t.Errorf("%+v accepted", r)
-		} else if !errors.Is(err, ErrBadInput) {
-			t.Errorf("%+v: error %v is not ErrBadInput", r, err)
-		}
-	}
-}
-
-func TestWorkloadRefName(t *testing.T) {
-	if got := (WorkloadRef{Name: "wl2"}).WorkloadName(); got != "wl2" {
-		t.Fatalf("name ref: %q", got)
-	}
-	// With or without the prefix, the trace field resolves to the same
-	// canonical "trace:<digest>" name.
-	withPrefix := (WorkloadRef{Trace: "trace:abcd"}).WorkloadName()
-	without := (WorkloadRef{Trace: "abcd"}).WorkloadName()
-	if withPrefix != "trace:abcd" || without != "trace:abcd" {
-		t.Fatalf("trace refs: %q / %q", withPrefix, without)
-	}
-}
-
-// TestWorkloadRefPointSpec: materialising a ref must produce exactly
-// the point the equivalent loose spec produces — one address, one
-// cache identity, regardless of which wire shape carried it.
-func TestWorkloadRefPointSpec(t *testing.T) {
-	ref := WorkloadRef{
-		Name: "wl1", Scale: 0.25, Seed: 9,
-		Derivations: []Derivation{ScaleLoadDerivation(1.5), MalleableFractionDerivation(0.3)},
-	}
-	opt := Options{Policy: "sd", MaxSlowdown: 10}
-	loose := PointSpec{
-		Workload: "wl1", Scale: 0.25, Seed: 9,
-		Derivations: []Derivation{ScaleLoadDerivation(1.5), MalleableFractionDerivation(0.3)},
-		Options:     opt,
-	}
-	if got, want := ref.PointSpec(opt).Point(), loose.Point(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ref point %+v != loose point %+v", got, want)
-	}
-}
-
+// TestPointSpecRejectsMixedRef: workload_ref is not a PointSpec field,
+// so the strict decode every wire layer uses refuses it, alone or mixed
+// with the loose fields.
 func TestPointSpecRejectsMixedRef(t *testing.T) {
-	ref := &WorkloadRef{Name: "wl1"}
-	for _, s := range []PointSpec{
-		{Ref: ref, Workload: "wl1"},
-		{Ref: ref, Scale: 0.5},
-		{Ref: ref, Seed: 3},
-		{Ref: ref, Derivations: []Derivation{MalleableFractionDerivation(0.5)}},
-		{Ref: &WorkloadRef{}},
+	for _, body := range []string{
+		`[{"workload":"wl1","workload_ref":{"name":"wl1"},"options":{}}]`,
+		`[{"workload_ref":{"name":"wl1","scale":0.25,"seed":9},"options":{"policy":"sd"}}]`,
 	} {
-		err := s.Validate()
-		if err == nil {
-			t.Errorf("%+v accepted", s)
-		} else if !errors.Is(err, ErrBadInput) {
-			t.Errorf("%+v: error %v is not ErrBadInput", s, err)
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		var specs []PointSpec
+		if err := dec.Decode(&specs); err == nil {
+			t.Errorf("%s decoded", body)
 		}
-	}
-	if err := (PointSpec{Ref: ref, Options: Options{Policy: "sd"}}).Validate(); err != nil {
-		t.Fatalf("pure ref spec rejected: %v", err)
 	}
 }
 
-// TestPointWorkloadRefWire: the workload_ref input shape decodes to the
-// same Point as the loose shape, and re-encoding always emits the loose
-// shape — the success bytes of every streaming surface stay frozen.
+// TestPointWorkloadRefWire: a decoder that tolerates unknown fields
+// (journal recovery) drops workload_ref, and PointsFromSpecs then
+// rejects the point for its missing workload instead of running
+// anything.
 func TestPointWorkloadRefWire(t *testing.T) {
-	looseJSON := `{"workload":"wl1","scale":0.25,"seed":9,
-		"derivations":[{"op":"scale_load","fraction":0,"factor":1.5}],
-		"options":{"policy":"sd","max_slowdown":10}}`
-	refJSON := `{"workload_ref":{"name":"wl1","scale":0.25,"seed":9,
-		"derivations":[{"op":"scale_load","fraction":0,"factor":1.5}]},
-		"options":{"policy":"sd","max_slowdown":10}}`
-	var loose, ref Point
-	if err := json.Unmarshal([]byte(looseJSON), &loose); err != nil {
+	var specs []PointSpec
+	body := `[{"workload_ref":{"trace":"trace:ca9b6a7f62b5e8e3"},"options":{"policy":"sd"}}]`
+	if err := json.Unmarshal([]byte(body), &specs); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(refJSON), &ref); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loose, ref) {
-		t.Fatalf("wire shapes decode differently:\n%+v\n%+v", loose, ref)
-	}
-	out, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(out), "workload_ref") {
-		t.Fatalf("encoded point leaks the input shape: %s", out)
+	if _, err := PointsFromSpecs(specs); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("workload_ref point: %v, want ErrBadInput", err)
 	}
 }
 
@@ -188,6 +108,30 @@ func TestRealTraceExperiment(t *testing.T) {
 	}
 	if rep.Static == nil || rep.SD == nil || rep.Static.Jobs != info.Jobs {
 		t.Fatalf("report: %+v", rep)
+	}
+	// The bare digest names the same trace: the same points, served
+	// from the cache.
+	bare, err := engine.Experiment(context.Background(), "real_trace", reducer.Params{
+		"trace":       info.Digest,
+		"load_factor": 1.5,
+		"qos_class":   "gold",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatalf("prefixed and bare digests differ:\n%s\n%s", a, b)
+	}
+	if hits, _ := engine.CacheStats(); hits != 2 {
+		t.Fatalf("bare digest: %d cache hits, want 2", hits)
 	}
 	if _, err := engine.Experiment(context.Background(), "real_trace", reducer.Params{}); err == nil {
 		t.Fatal("missing trace parameter accepted")
