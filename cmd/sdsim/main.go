@@ -55,7 +55,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.IntVar(&opt.BackfillDepth, "depth", d.BackfillDepth, "conservative backfill depth")
 	fs.BoolVar(&opt.IncludeFreeNodes, "free", false, "allow mixing free nodes into mate selections")
 	mallFrac := fs.Float64("malleable", -1, "override malleable job fraction (0..1)")
-	verbose := fs.Bool("v", false, "print per-day series and heatmap summaries")
+	verbose := fs.Bool("v", false, "also print the per-day slowdown series")
 	traceFile := fs.String("trace", "", "write a CSV scheduling-event trace to this file")
 	timeline := fs.String("timeline", "", "write a CSV core-usage timeline to this file")
 	if err := fs.Parse(args); err != nil {
