@@ -91,6 +91,23 @@ func TestTracePointCanonical(t *testing.T) {
 	}
 }
 
+// TestWorkloadRefName: the real_trace experiment names its trace with
+// or without the "trace:" prefix, and both resolve to the same
+// canonical "trace:<digest>" workload on every point.
+func TestWorkloadRefName(t *testing.T) {
+	for _, trace := range []string{"trace:abcd", "abcd"} {
+		x, err := realTraceInstance(reducer.Params{"trace": trace})
+		if err != nil {
+			t.Fatalf("%q: %v", trace, err)
+		}
+		for _, pt := range x.points {
+			if pt.Workload != "trace:abcd" {
+				t.Fatalf("%q resolved to %q", trace, pt.Workload)
+			}
+		}
+	}
+}
+
 func TestRealTraceExperiment(t *testing.T) {
 	info := registerTestTrace(t)
 	engine := NewEngine(2, 16)
