@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sdpolicy/internal/campaign"
 	"sdpolicy/internal/workload"
@@ -249,6 +250,8 @@ func DeriveSeed(base uint64, replicate int) uint64 {
 // cache and never simulate the same canonical Point twice at once.
 type Engine struct {
 	runner *campaign.Runner[Point, *Result]
+	// store is the cache log PersistCache turned on; nil until then.
+	store atomic.Pointer[cacheLog]
 }
 
 // NewEngine builds an Engine with the given worker-pool size
@@ -261,6 +264,9 @@ func NewEngine(workers, cacheSize int) *Engine {
 		if err != nil {
 			return nil, fmt.Errorf("%s (scale %g, seed %d, %s): %w",
 				p.Workload, p.Scale, p.Seed, p.Options.Policy, err)
+		}
+		if log := e.store.Load(); log != nil {
+			log.append(p, res)
 		}
 		return res, nil
 	}, campaign.Config{Workers: workers, CacheSize: cacheSize})

@@ -40,33 +40,30 @@
 // on stderr at registration. For -server runs the remote deployment
 // must hold the same traces (sdserve -trace-dir).
 //
-// -cache-dir dir persists the campaign result cache across runs: the
-// engine loads dir/campaign-cache.json on start and spills its memoised
-// results back on exit (even after an error or Ctrl-C), so repeating a
-// full-scale run only simulates the points that changed. Spills merge:
-// concurrent writers sharing one directory (a job array) each
-// contribute their entries instead of clobbering each other.
+// -cache-dir dir persists campaign results across runs: the engine
+// loads every cache log in dir on start and appends each result to a
+// log of its own the moment the point completes, so a rerun — even
+// after Ctrl-C or kill -9 — only simulates the points that did not
+// finish. Each process writes its own log, so concurrent runs (a job
+// array) may share one directory.
 //
-// Distributed runs compose three flags on top of -points:
+// Distributed runs compose two flags on top of -points:
 //
 //   - -shard i/n (1-based) runs only the i-th of n deterministic
 //     shards of the campaign — clusterless fan-out via a job array.
 //     Output lines keep their original campaign indices, and shard
 //     assignment co-locates canonical duplicates, so n shard runs
-//     merged by index (or via their -cache-dir spills) are
-//     byte-identical to one full run.
-//   - -merge-cache dir1,dir2,... merges per-shard cache spills into
-//     the engine cache before running — the reduce step. Combine with
-//     -cache-dir to write the merged spill, and -exp none to do only
-//     that; conflicting entries (evidence of broken determinism)
-//     resolve deterministically and are reported on stderr.
+//     merged by index are byte-identical to one full run. The reduce
+//     step for their caches is a copy: the *.journal logs of every
+//     shard's -cache-dir, copied into one directory, warm a full
+//     replay (or let the shards share one -cache-dir).
 //   - -server URL sends the campaign to a running sdserve instance
 //     (worker or coordinator) as a /v1/campaigns resource instead of
 //     simulating in-process, with the same input-ordered,
 //     byte-identical NDJSON output. Combined with -cache-dir, the
-//     campaign is created with per-job report frames so the proxied
-//     results — reports included — are spilled locally and warm later
-//     in-process runs.
+//     campaign is created with per-job report frames and every proxied
+//     result — report included — is appended to the local cache
+//     directory, warming later in-process runs.
 //
 // Two profiling surfaces coexist, one offline and one live:
 //
@@ -87,7 +84,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"os"
 	"os/signal"
@@ -106,7 +102,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: all | table1 | table2 | fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | ablations | none (cache maintenance only)")
+		exp        = flag.String("exp", "all", "experiment: all | table1 | table2 | fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | ablations | none (run nothing, e.g. only register -trace files)")
 		experiment = flag.String("experiment", "", "run one registry experiment by name (list = print the registry); with -server the experiment runs remotely via /v1/experiments with byte-identical output")
 		scale      = flag.Float64("scale", 0.1, "workload scale factor (0,1]")
 		seed       = flag.Uint64("seed", 1, "generator seed")
@@ -115,9 +111,8 @@ func main() {
 		cache      = flag.Int("cache", 512, "campaign result-cache capacity in points (0 disables)")
 		progress   = flag.Bool("progress", false, "report campaign progress on stderr")
 		points     = flag.String("points", "", "JSON file holding an array of campaign points; streams NDJSON results to stdout instead of running -exp")
-		cacheDir   = flag.String("cache-dir", "", "persist the campaign result cache in this directory across runs")
+		cacheDir   = flag.String("cache-dir", "", "persist campaign results in this directory: load its logs on start and append each result as it completes; with -server, proxied results are appended too")
 		shard      = flag.String("shard", "", "with -points: run only shard i/n (1-based, e.g. 2/3) of the campaign; lines keep their original indices")
-		mergeCache = flag.String("merge-cache", "", "comma-separated cache dirs (or spill files) merged into the engine cache before running; with -cache-dir the merged cache is spilled back")
 		server     = flag.String("server", "", "with -points: comma-separated base URLs of an sdserve deployment (coordinator plus failover standbys) that runs the campaign instead of this process; the stream resumes across disconnects and failovers")
 		trace      = flag.String("trace", "", "comma-separated SWF trace files to register before the run; each becomes addressable as trace:<digest> in points files and -experiment parameters")
 		debugAddr  = flag.String("debug-addr", "", "optional listen address for net/http/pprof and /metrics (e.g. localhost:6060); off when empty")
@@ -173,88 +168,51 @@ func main() {
 			}
 		})
 	}
-	var cacheFile string
-	var warmRemote bool
+	var closeCache func() (int, error)
+	var err error
 	if *cacheDir != "" && *cache <= 0 {
 		// With the in-memory cache disabled there is nothing to load
-		// into or spill from; saving anyway would overwrite a warmed
-		// spill file with an empty one.
+		// into, and without it a remote run's proxied results have
+		// nowhere to be primed.
 		fmt.Fprintln(os.Stderr, "sdexp: ignoring -cache-dir: in-memory cache disabled (-cache 0)")
-	} else if *cacheDir != "" && *server != "" {
-		// Remote campaign: the local cache is never consulted, so skip
-		// the load — but negotiate per-job report frames from the server
-		// and prime the local engine with every proxied result, so the
-		// spill-on-exit below warms later local runs (merge-on-save folds
-		// it into whatever the directory already holds).
-		cacheFile = filepath.Join(*cacheDir, sdpolicy.CacheFileName)
-		warmRemote = true
 	} else if *cacheDir != "" {
-		cacheFile = filepath.Join(*cacheDir, sdpolicy.CacheFileName)
-		switch err := engine.LoadCache(cacheFile); {
-		case err == nil:
-		case errors.Is(err, fs.ErrNotExist):
-			// First run: nothing to load yet.
-		default:
-			// A stale or corrupt spill must not kill the run — the cache
-			// is an optimisation. Warn and simulate from scratch.
-			fmt.Fprintln(os.Stderr, "sdexp: ignoring persisted cache:", err)
+		// A remote run loads the directory too: the local cache is never
+		// consulted, but the loaded keys keep a repeated remote run from
+		// appending results the directory already holds.
+		var stats sdpolicy.CacheMergeStats
+		if stats, closeCache, err = engine.PersistCache(*cacheDir); err != nil {
+			err = fmt.Errorf("-cache-dir: %w", err)
 		}
-	}
-	var err error
-	if *mergeCache != "" {
-		// The reduce step of a sharded campaign: fold per-shard spills
-		// into the engine cache (and, via the spill-on-exit below, into
-		// -cache-dir). Conflicting payloads mean determinism broke
-		// somewhere — resolve deterministically but tell the operator.
-		switch {
-		case *cache <= 0:
-			err = errors.New("-merge-cache needs the in-memory cache; raise -cache above 0")
-		case *server != "":
-			err = errors.New("-merge-cache has no effect with -server: the remote engine never sees the merged cache")
-		default:
-			var paths []string
-			for _, p := range strings.Split(*mergeCache, ",") {
-				if p = strings.TrimSpace(p); p != "" {
-					paths = append(paths, p)
-				}
-			}
-			var stats sdpolicy.CacheMergeStats
-			stats, err = engine.MergeCache(paths...)
-			for _, c := range stats.Conflicts {
-				fmt.Fprintln(os.Stderr, "sdexp: cache conflict:", c)
-			}
-			if err == nil {
-				fmt.Fprintf(os.Stderr, "sdexp: merged %d cache files into %d entries (%d conflicts)\n",
-					stats.Files, stats.Entries, len(stats.Conflicts))
-			}
+		for _, w := range append(stats.Skipped, stats.Conflicts...) {
+			fmt.Fprintln(os.Stderr, "sdexp:", w)
+		}
+		if stats.Overflow > 0 {
+			fmt.Fprintf(os.Stderr, "sdexp: %d of the %d results in %s do not fit -cache %d and were not loaded; raise -cache\n",
+				stats.Overflow, stats.Entries, *cacheDir, *cache)
 		}
 	}
 	runner := &runner{ctx: ctx, engine: engine, scale: *scale, seed: *seed, outDir: *outDir}
 	switch {
 	case err != nil:
 	case *points != "":
-		err = runner.runPoints(*points, *shard, *server, warmRemote)
+		err = runner.runPoints(*points, *shard, *server, closeCache != nil)
 	case *experiment != "":
 		err = runner.runExperiment(*experiment, *server)
 	case *exp == "none":
-		// Cache maintenance only (-merge-cache ... -cache-dir out).
+		// Nothing to run: -trace registration (and its digest line) only.
 	default:
 		err = runner.run(*exp)
 	}
-	if cacheFile != "" {
-		// Spill whatever simulated, even after a mid-campaign error or
-		// Ctrl-C: completed points are still valid and warm the next run.
-		stats, serr := engine.SaveCache(cacheFile)
-		for _, c := range stats.Conflicts {
-			fmt.Fprintln(os.Stderr, "sdexp: cache conflict:", c)
+	if closeCache != nil {
+		// Every completed point was appended as it finished, so even
+		// after a mid-campaign error or Ctrl-C the next run is warm.
+		appended, cerr := closeCache()
+		if cerr != nil {
+			fmt.Fprintln(os.Stderr, "sdexp: result cache:", cerr)
 		}
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "sdexp: saving result cache:", serr)
-		} else {
-			hits, misses := engine.CacheStats()
-			fmt.Fprintf(os.Stderr, "sdexp: cache: %d hits, %d misses this run; spilled %d entries\n",
-				hits, misses, stats.Entries)
-		}
+		hits, misses := engine.CacheStats()
+		fmt.Fprintf(os.Stderr, "sdexp: cache: %d hits, %d misses this run; appended %d entries\n",
+			hits, misses, appended)
 	}
 	if *progress {
 		emitCacheStatsJSON(os.Stderr)
@@ -332,8 +290,8 @@ func emitCacheStatsJSON(w io.Writer) {
 // (worker or coordinator) and the stream is re-ordered locally — same
 // bytes, remote cycles. With warm, the remote campaign additionally
 // carries per-job report frames and primes the local engine cache
-// with every proxied result, so a -cache-dir spill after a remote run
-// warms later local ones.
+// with every proxied result, which -cache-dir appends to its log so
+// later local runs are warm.
 func (r *runner) runPoints(path, shardSpec, serverURL string, warm bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -435,7 +393,7 @@ func parseShard(spec string) (index, of int, err error) {
 // disconnects, server restarts and coordinator failovers, so those are
 // invisible here beyond latency. With warm, per-job report frames are
 // negotiated and every proxied result is primed — report attached —
-// into engine's cache, making it spillable by SaveCache.
+// into engine's cache, which appends it to the -cache-dir log.
 func streamFromServer(ctx context.Context, serverList string, engine *sdpolicy.Engine, points []sdpolicy.Point, warm bool, updates chan<- sdpolicy.PointResult) error {
 	defer close(updates)
 	var bases []string

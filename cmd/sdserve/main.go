@@ -50,7 +50,9 @@
 // older finished campaign is re-read from its journal when asked for.
 // SIGINT/SIGTERM end open streams with a shutdown frame, then drain
 // in-flight requests before exit. -cache-dir persists the result cache
-// across restarts: loaded on start, spilled on shutdown.
+// across restarts, even kill -9: its logs are loaded on start, and each
+// new result is appended the moment it exists. It must not be the
+// -journal-dir.
 //
 // # Elastic coordinator fleets
 //
@@ -70,8 +72,9 @@
 //     fleet can grow and shrink without restarting the coordinator; a
 //     worker joining mid-campaign steals queued shards immediately.
 //   - With -cache-dir the coordinator negotiates per-job report frames
-//     from its workers and spills every proxied result on shutdown, so
-//     the spill warms later local sdexp runs (fig4-9 analyses too).
+//     from its workers and appends every proxied result to its cache
+//     log as it arrives, so the directory warms later local sdexp runs
+//     (fig4-9 analyses too).
 //
 // /v1/simulate keeps running on the local engine; /healthz reports per-peer fleet state (alive|dead|probing,
 // consecutive failures, last error, remaining lease).
@@ -82,7 +85,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -112,7 +114,7 @@ func main() {
 		leaseTTL    = flag.Duration("lease-ttl", 30*time.Second, "coordinator: default heartbeat lease granted to registering workers; worker: lease requested by -join")
 		join        = flag.String("join", "", "comma-separated coordinator base URLs to register this worker with (heartbeats the lease against whichever answers, deregisters on shutdown); list the active coordinator and its standbys")
 		advertise   = flag.String("advertise", "", "base URL this worker advertises when joining (default http://127.0.0.1:<port> from -addr)")
-		cacheDir    = flag.String("cache-dir", "", "persist the result cache in this directory across restarts; on a coordinator, proxied worker results are spilled too")
+		cacheDir    = flag.String("cache-dir", "", "persist results in this directory across restarts: load its logs on start and append each result as it completes; on a coordinator, proxied worker results are appended too (must differ from -journal-dir)")
 		journalDir  = flag.String("journal-dir", "", "write-ahead journal directory for /v1/campaigns resources; enables crash/failover recovery and the coordinator lease (share it between the active coordinator and its standbys)")
 		journalTTL  = flag.Duration("journal-lease", 15*time.Second, "coordinator lease TTL inside -journal-dir; a standby adopts the journal after the lease goes this long without a refresh")
 		standby     = flag.Bool("standby", false, "start as a failover standby: serve requests but keep the campaign plane inactive until the -journal-dir coordinator lease is acquired (requires -journal-dir)")
@@ -122,6 +124,12 @@ func main() {
 	flag.Parse()
 	if *standby && *journalDir == "" {
 		fmt.Fprintln(os.Stderr, "sdserve: -standby requires -journal-dir (the lease and journal to adopt live there)")
+		os.Exit(1)
+	}
+	if *cacheDir != "" && *journalDir != "" && sameDir(*cacheDir, *journalDir) {
+		// Recovery would adopt the cache logs as campaigns and append
+		// done records into them.
+		fmt.Fprintln(os.Stderr, "sdserve: -cache-dir and -journal-dir must name different directories")
 		os.Exit(1)
 	}
 	if *traceDir != "" {
@@ -137,18 +145,25 @@ func main() {
 	}
 
 	engine := sdpolicy.NewEngine(*workers, *cache)
-	var cacheFile string
+	var closeCache func() (int, error)
 	if *cacheDir != "" && *cache <= 0 {
 		fmt.Fprintln(os.Stderr, "sdserve: ignoring -cache-dir: in-memory cache disabled (-cache 0)")
 	} else if *cacheDir != "" {
-		cacheFile = filepath.Join(*cacheDir, sdpolicy.CacheFileName)
-		switch err := engine.LoadCache(cacheFile); {
-		case err == nil:
-		case errors.Is(err, fs.ErrNotExist):
-			// First run: nothing to load yet.
-		default:
-			fmt.Fprintln(os.Stderr, "sdserve: ignoring persisted cache:", err)
+		stats, closeFn, err := engine.PersistCache(*cacheDir)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sdserve: -cache-dir:", err)
+			os.Exit(1)
 		}
+		closeCache = closeFn
+		for _, w := range append(stats.Skipped, stats.Conflicts...) {
+			fmt.Fprintln(os.Stderr, "sdserve:", w)
+		}
+		if stats.Overflow > 0 {
+			fmt.Fprintf(os.Stderr, "sdserve: %d of the %d results in %s do not fit -cache %d and were not loaded; raise -cache\n",
+				stats.Overflow, stats.Entries, *cacheDir, *cache)
+		}
+		fmt.Fprintf(os.Stderr, "sdserve: loaded %d cached results from %d logs in %s\n",
+			stats.Entries-stats.Overflow, stats.Files, *cacheDir)
 	}
 	api := serve.New(engine, *inflight)
 	var jnl *journal.Journal
@@ -178,7 +193,7 @@ func main() {
 			ShardsPerWorker: *perWorker,
 			ProbeInterval:   *probeEvery,
 			LeaseTTL:        *leaseTTL,
-			WarmCache:       cacheFile != "",
+			WarmCache:       closeCache != nil,
 		}
 		if err := api.EnableCoordinator(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "sdserve:", err)
@@ -303,16 +318,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdserve: journal: coordinator lease released")
 	default:
 	}
-	if cacheFile != "" {
-		stats, serr := engine.SaveCache(cacheFile)
-		for _, c := range stats.Conflicts {
-			fmt.Fprintln(os.Stderr, "sdserve: cache conflict:", c)
+	if closeCache != nil {
+		appended, cerr := closeCache()
+		if cerr != nil {
+			fmt.Fprintln(os.Stderr, "sdserve: result cache:", cerr)
 		}
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "sdserve: saving result cache:", serr)
-		} else {
-			fmt.Fprintf(os.Stderr, "sdserve: spilled %d cached results to %s\n", stats.Entries, cacheFile)
-		}
+		fmt.Fprintf(os.Stderr, "sdserve: appended %d results to %s\n", appended, *cacheDir)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdserve: shutdown:", err)
@@ -322,6 +333,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdserve:", err)
 		os.Exit(1)
 	}
+}
+
+// sameDir reports whether a and b name one directory.
+func sameDir(a, b string) bool {
+	fa, errA := os.Stat(a)
+	fb, errB := os.Stat(b)
+	if errA == nil && errB == nil {
+		return os.SameFile(fa, fb)
+	}
+	absA, errA := filepath.Abs(a)
+	absB, errB := filepath.Abs(b)
+	return errA == nil && errB == nil && absA == absB
 }
 
 // buildTimeOrUnknown renders the build's VCS time for the startup log.

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"sdpolicy/internal/workload"
@@ -242,10 +244,12 @@ func TestEngineRejectsInvalidDerivations(t *testing.T) {
 	}
 }
 
-// TestSaveLoadCacheRoundTrip: the persistent spill must restore results
-// that are byte-identical to freshly simulated ones — including the
-// per-job report behind Daily and the heatmaps — and serve them as pure
-// cache hits.
+// TestSaveLoadCacheRoundTrip: the cache logs must restore results that
+// are byte-identical to freshly simulated ones — including the per-job
+// report behind Daily and the heatmaps — and serve them as pure cache
+// hits. The writing engine never closes its log before the reload, as
+// a process killed with SIGKILL would not: every entry is on disk the
+// moment its point completes.
 func TestSaveLoadCacheRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	points := []Point{
@@ -254,19 +258,18 @@ func TestSaveLoadCacheRoundTrip(t *testing.T) {
 		NewDerivedPoint("wl5", 0.2, 1, Options{Policy: "sd"},
 			TagNodesDerivation("bigmem", 0.5), RequireFeatureDerivation("bigmem", 0.25)),
 	}
+	dir := filepath.Join(t.TempDir(), "cache")
 	warm := NewEngine(2, 32)
+	persistCache(t, warm, dir)
 	want, err := warm.Run(ctx, points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "spill", "campaign-cache.json")
-	if _, err := warm.SaveCache(path); err != nil {
-		t.Fatal(err)
-	}
 
 	cold := NewEngine(2, 32)
-	if err := cold.LoadCache(path); err != nil {
-		t.Fatal(err)
+	stats, _ := persistCache(t, cold, dir)
+	if stats.Files != 1 || stats.Entries != 3 {
+		t.Fatalf("stats = %+v, want 1 log, 3 entries", stats)
 	}
 	got, err := cold.Run(ctx, points)
 	if err != nil {
@@ -287,29 +290,104 @@ func TestSaveLoadCacheRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadCacheRejectsCorruptFiles(t *testing.T) {
+// TestPersistCacheTornTail: a log whose last record was torn mid-write
+// loads the records before it.
+func TestPersistCacheTornTail(t *testing.T) {
+	ctx := context.Background()
+	points := []Point{
+		NewPoint("wl5", 0.2, 1, Options{Policy: "static"}),
+		NewPoint("wl5", 0.2, 1, Options{Policy: "sd", MaxSlowdown: 10}),
+	}
 	dir := t.TempDir()
 	engine := NewEngine(1, 8)
-	if err := engine.LoadCache(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	for name, content := range map[string]string{
-		"garbage.json":  "{not json",
-		"version.json":  `{"version":999,"entries":[]}`,
-		"noresult.json": `{"version":1,"entries":[{"point":{"workload":"wl5","scale":0.2,"seed":1,"options":{}}}]}`,
-	} {
-		path := filepath.Join(dir, name)
-		if err := writeFile(path, content); err != nil {
+	_, closeLog := persistCache(t, engine, dir)
+	for _, p := range points {
+		if _, err := engine.SimulatePoint(ctx, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := engine.LoadCache(path); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
+	}
+	closeLog()
+	paths := cacheLogPaths(t, dir)
+	if len(paths) != 1 {
+		t.Fatalf("%d logs, want 1", len(paths))
+	}
+	fi, err := os.Stat(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(paths[0], fi.Size()-100); err != nil {
+		t.Fatal(err)
+	}
+	cold := NewEngine(1, 8)
+	stats, _ := persistCache(t, cold, dir)
+	if stats.Files != 1 || stats.Entries != 1 || len(stats.Skipped) != 0 {
+		t.Fatalf("stats = %+v, want the 1-entry valid prefix", stats)
+	}
+	if _, err := cold.Run(ctx, points); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := cold.CacheStats(); hits != 1 || misses != 1 {
+		t.Fatalf("hits %d misses %d, want 1 and 1", hits, misses)
 	}
 }
 
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
+// TestLoadCacheRejectsCorruptFiles: every log that fails to load is
+// skipped whole and named, while a valid neighbour still loads.
+func TestLoadCacheRejectsCorruptFiles(t *testing.T) {
+	const (
+		create = `{"seq":0,"kind":"create","data":{"version":2}}` + "\n"
+		point  = `{"workload":"wl5","scale":0.2,"seed":1,"options":{}}`
+	)
+	entry := func(seq int, data string) string {
+		return `{"seq":` + strconv.Itoa(seq) + `,"kind":"entry","data":` + data + "}\n"
+	}
+	dir := t.TempDir()
+	p := NewPoint("wl5", 0.2, 1, Options{Policy: "sd", MaxSlowdown: 10})
+	source := NewEngine(1, 8)
+	persistCache(t, source, dir)
+	want, err := source.SimulatePoint(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]string{
+		"empty":      "",
+		"garbage":    "{not json\n",
+		"version":    `{"seq":0,"kind":"create","data":{"version":1}}` + "\n",
+		"noresult":   create + entry(1, `{"point":`+point+`}`),
+		"kind":       create + `{"seq":1,"kind":"result","data":{"point":` + point + `,"result":{}}}` + "\n",
+		"badpoint":   create + entry(1, `{"point":{"workload":"wl5","scale":0.2,"seed":1,"options":{},"derivations":[{"op":"nope"}]},"result":{}}`),
+		"midcorrupt": create + "{torn\n" + entry(2, `{"point":`+point+`,"result":{}}`),
+	}
+	for name, content := range bad {
+		if err := os.WriteFile(filepath.Join(dir, "cache-"+name+".journal"), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine := NewEngine(1, 8)
+	stats, _ := persistCache(t, engine, dir)
+	if stats.Files != 1 || stats.Entries != 1 {
+		t.Fatalf("stats = %+v, want the one valid log loaded", stats)
+	}
+	if len(stats.Skipped) != len(bad) {
+		t.Fatalf("skipped %d logs, want %d: %v", len(stats.Skipped), len(bad), stats.Skipped)
+	}
+	for name := range bad {
+		named := false
+		for _, line := range stats.Skipped {
+			named = named || strings.Contains(line, "cache-"+name)
+		}
+		if !named {
+			t.Errorf("log cache-%s skipped without being named: %v", name, stats.Skipped)
+		}
+	}
+	got, err := engine.SimulatePoint(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := engine.CacheStats(); misses != 0 {
+		t.Fatal("the valid neighbour did not load")
+	}
+	resultsEquivalent(t, p.Workload, want, got)
 }
 
 // A non-finite fraction must flow from the constructor to a clean

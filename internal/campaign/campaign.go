@@ -151,18 +151,11 @@ func (r *Runner[K, R]) CacheCap() int {
 	return r.cache.Cap()
 }
 
-// CacheSnapshot returns the memoised results, least recently used
-// first, for persistence across processes. With caching disabled it
-// returns empty slices.
-func (r *Runner[K, R]) CacheSnapshot() ([]K, []R) {
-	return r.cache.Snapshot()
-}
-
-// CachePrime inserts precomputed results — typically a CacheSnapshot
-// persisted by an earlier process — into the cache without executing
-// the task function. Entries are added in input order, so passing a
-// snapshot preserves its recency order. Extra values beyond len(keys)
-// are ignored; with caching disabled CachePrime is a no-op.
+// CachePrime inserts precomputed results — typically ones persisted by
+// an earlier process — into the cache without executing the task
+// function. Entries are added in input order, so the last ones are the
+// most recently used. Extra values beyond len(keys) are ignored; with
+// caching disabled CachePrime is a no-op.
 func (r *Runner[K, R]) CachePrime(keys []K, vals []R) {
 	for i, k := range keys {
 		if i >= len(vals) {

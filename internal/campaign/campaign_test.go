@@ -367,27 +367,18 @@ func ExampleRunner_Run() {
 	// simulated wl1/sd10
 }
 
-func TestCacheSnapshotAndPrime(t *testing.T) {
+// TestCachePrime: a runner primed with results computed elsewhere
+// serves those keys without executing the task function.
+func TestCachePrime(t *testing.T) {
 	var execs atomic.Int64
 	fn := func(ctx context.Context, k string) (string, error) {
 		execs.Add(1)
 		return "simulated " + k, nil
 	}
+	keys, vals := []string{"a", "b"}, []string{"simulated a", "simulated b"}
 	r := New(fn, Config{Workers: 2, CacheSize: 8})
-	if _, err := r.Run(context.Background(), []string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	keys, vals := r.CacheSnapshot()
-	if len(keys) != 2 || len(vals) != 2 {
-		t.Fatalf("snapshot %v %v", keys, vals)
-	}
-
-	// A fresh runner primed with the snapshot serves the keys without
-	// executing the task function.
-	fresh := New(fn, Config{Workers: 2, CacheSize: 8})
-	fresh.CachePrime(keys, vals)
-	execs.Store(0)
-	res, err := fresh.Run(context.Background(), []string{"a", "b"})
+	r.CachePrime(keys, vals)
+	res, err := r.Run(context.Background(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,13 +388,19 @@ func TestCacheSnapshotAndPrime(t *testing.T) {
 	if n := execs.Load(); n != 0 {
 		t.Fatalf("%d executions after priming, want 0", n)
 	}
+	if hits, misses := r.Stats(); hits != 2 || misses != 0 {
+		t.Fatalf("hits %d misses %d, want 2 and 0", hits, misses)
+	}
 
-	// Caching disabled: snapshot is empty, priming is a no-op.
+	// Caching disabled: priming is a no-op, so the keys execute.
 	off := New(fn, Config{Workers: 2, CacheSize: 0})
 	off.CachePrime(keys, vals)
-	if k, v := off.CacheSnapshot(); len(k) != 0 || len(v) != 0 {
-		t.Fatalf("cache-off snapshot %v %v", k, v)
+	if _, err := off.Run(context.Background(), keys); err != nil {
+		t.Fatal(err)
+	}
+	if n := execs.Load(); n != 2 {
+		t.Fatalf("cache-off runner executed %d keys, want 2", n)
 	}
 	// Mismatched lengths must not panic.
-	fresh.CachePrime([]string{"x", "y"}, []string{"only one"})
+	r.CachePrime([]string{"x", "y"}, []string{"only one"})
 }

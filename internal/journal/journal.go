@@ -24,6 +24,14 @@
 // persisted peer table (SavePeers/LoadPeers) and the TTL'd coordinator
 // lease (AcquireLease), which a standby watches and — once stale —
 // breaks, adopting the journal and the peer table.
+//
+// The same files back the persistent result cache
+// (sdpolicy.Engine.PersistCache): there each process appends to a
+// journal of its own in the cache directory, whose create record holds
+// the format version and whose later records each hold one cached
+// result. A cache directory and a campaign journal directory must be
+// different directories: recovery would adopt every cache log as a
+// campaign.
 package journal
 
 import (

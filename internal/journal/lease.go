@@ -11,15 +11,13 @@ import (
 	"time"
 )
 
-// The coordinator lease: the same stale-breaking lock-file discipline
-// the cache spill uses (persist.go's lockCacheFile), promoted from
-// guarding one write cycle to electing the active coordinator. Exactly
-// one process holds the lease file; while held, its mtime is refreshed
-// at a third of the TTL, so only a lease whose owner actually died
-// goes a full TTL without a touch. A standby blocks in AwaitLease,
-// polling the file's age, and breaks a stale lease by renaming it to a
-// name it owns — rename is atomic, so exactly one contender wins the
-// steal and adopts the journal directory.
+// The coordinator lease: a stale-breaking lock file that elects the
+// active coordinator. Exactly one process holds the lease file; while
+// held, its mtime is refreshed at a third of the TTL, so only a lease
+// whose owner actually died goes a full TTL without a touch. A standby
+// blocks in AwaitLease, polling the file's age, and breaks a stale
+// lease by renaming it to a name it owns — rename is atomic, so exactly
+// one contender wins the steal and adopts the journal directory.
 
 // leaseFileName is the coordinator lease file inside the journal dir.
 const leaseFileName = "coordinator.lease"

@@ -93,26 +93,6 @@ func (c *Cache[K, V]) Add(key K, val V) {
 	}
 }
 
-// Snapshot returns the cached entries ordered least recently used
-// first, so Adding them back in order onto an empty cache reproduces
-// both the contents and the recency order. It backs the campaign
-// engine's persistent cache spill.
-func (c *Cache[K, V]) Snapshot() (keys []K, vals []V) {
-	if c == nil {
-		return nil, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys = make([]K, 0, c.order.Len())
-	vals = make([]V, 0, c.order.Len())
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry[K, V])
-		keys = append(keys, e.key)
-		vals = append(vals, e.val)
-	}
-	return keys, vals
-}
-
 // Cap returns the cache capacity; a nil cache has capacity 0.
 func (c *Cache[K, V]) Cap() int {
 	if c == nil {

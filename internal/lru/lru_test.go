@@ -86,38 +86,3 @@ func ExampleCache() {
 	fmt.Println(v, ok)
 	// Output: baseline true
 }
-
-func TestSnapshotOrderAndRestore(t *testing.T) {
-	c := New[string, int](4)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Add("c", 3)
-	c.Get("a") // a becomes most recent: LRU order is now b, c, a
-	keys, vals := c.Snapshot()
-	if len(keys) != 3 || len(vals) != 3 {
-		t.Fatalf("snapshot %v %v", keys, vals)
-	}
-	want := []string{"b", "c", "a"}
-	for i, k := range want {
-		if keys[i] != k {
-			t.Fatalf("snapshot order %v, want %v", keys, want)
-		}
-	}
-	// Re-adding in snapshot order reproduces the recency order: with
-	// capacity 3 and one more insert, "b" (least recent) evicts first.
-	r := New[string, int](3)
-	for i, k := range keys {
-		r.Add(k, vals[i])
-	}
-	r.Add("d", 4)
-	if _, ok := r.Get("b"); ok {
-		t.Fatal("restored cache evicted the wrong entry")
-	}
-	if v, ok := r.Get("a"); !ok || v != 1 {
-		t.Fatal("restored cache lost a recent entry")
-	}
-	var nilCache *Cache[string, int]
-	if k, v := nilCache.Snapshot(); k != nil || v != nil {
-		t.Fatal("nil cache snapshot not empty")
-	}
-}

@@ -28,8 +28,8 @@ import (
 // single-process run as long as the campaign never runs out of workers
 // entirely. With WarmCache the coordinator additionally negotiates
 // per-job report frames from the workers and primes its local engine
-// cache with the proxied results, so a SaveCache spill can warm later
-// local analyses.
+// cache with the proxied results, which Engine.PersistCache appends to
+// the cache directory, so they warm later local analyses.
 type coordinator struct {
 	peers           *peerSet
 	client          *http.Client
@@ -408,8 +408,8 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 			// converse loss exists too: a worker that crashes between a
 			// result frame and its report frame leaves that point
 			// delivered-but-unwarmed (it is excluded from requeues), so
-			// the spill can lack entries after an abrupt worker death —
-			// a later local run just re-simulates those points.
+			// the cache log can lack entries after an abrupt worker
+			// death — a later local run just re-simulates those points.
 			local := *f.ReportFor
 			if local < 0 || local >= len(job.positions) || got[local] == nil || len(f.Report) == 0 {
 				continue

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -414,31 +413,37 @@ func TestWorkerReportFrames(t *testing.T) {
 // TestCoordinatorWarmCacheSpill is the cache-warming acceptance test:
 // a WarmCache coordinator primes its local engine with every result
 // proxied from the workers — reports included, via the negotiated wire
-// frame — so its SaveCache spill warms a fresh local engine to zero
-// misses with byte-identical results.
+// frame — and appends each to its cache log as it arrives, so the
+// directory warms a fresh local engine to zero misses with
+// byte-identical results. The log is read before the coordinator
+// closes it, as after a kill -9.
 func TestCoordinatorWarmCacheSpill(t *testing.T) {
 	coord, s := startCoordinatorCfg(t, CoordinatorConfig{
 		Workers:       startWorkers(t, 2),
 		ProbeInterval: time.Hour,
 		WarmCache:     true,
 	})
-	want := coordReferenceResults(t)
-	assertResultsMatch(t, runCoordinatorCampaign(t, coord.URL), want)
-
-	spill := filepath.Join(t.TempDir(), sdpolicy.CacheFileName)
-	stats, err := s.engine.SaveCache(spill)
+	dir := t.TempDir()
+	_, closeLog, err := s.engine.PersistCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 6 campaign points, one canonical duplicate (the repeated static
-	// baseline): 5 distinct entries.
-	if stats.Entries != 5 {
-		t.Fatalf("spilled %d entries, want 5", stats.Entries)
-	}
+	want := coordReferenceResults(t)
+	assertResultsMatch(t, runCoordinatorCampaign(t, coord.URL), want)
 
 	local := sdpolicy.NewEngine(2, 64)
-	if err := local.LoadCache(spill); err != nil {
+	stats, closeLocal, err := local.PersistCache(dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer closeLocal()
+	// 6 campaign points, one canonical duplicate (the repeated static
+	// baseline, primed for both positions): 5 distinct entries.
+	if stats.Entries != 5 {
+		t.Fatalf("loaded %d entries, want 5", stats.Entries)
+	}
+	if appended, err := closeLog(); err != nil || appended != 5 {
+		t.Fatalf("coordinator appended %d entries (err %v), want 5", appended, err)
 	}
 	var req CreateCampaignRequest
 	if err := json.Unmarshal([]byte(coordCampaignBody), &req); err != nil {
@@ -465,9 +470,10 @@ func TestCoordinatorWarmCacheSpill(t *testing.T) {
 
 // TestRemoteCampaignWarmsLocalCache drives the sdexp -server
 // -cache-dir path through a coordinator: RunDurableCampaign with report
-// frames, Engine.Prime per frame, then a local replay with zero misses
-// — proving the frames relay through the coordinator, not just off a
-// single worker.
+// frames, Engine.PrimeProxied per frame into an engine persisting to a
+// cache directory, then a local replay with zero misses — proving the
+// frames relay through the coordinator, not just off a single worker.
+// A repeated remote run into the same directory appends nothing.
 func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 	coord, _ := startCoordinatorCfg(t, CoordinatorConfig{
 		Workers:       startWorkers(t, 2),
@@ -481,34 +487,44 @@ func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := sdpolicy.NewEngine(2, 64)
-	got := make(map[int]*sdpolicy.Result, len(points))
-	err = RunDurableCampaign(context.Background(), nil, []string{coord.URL}, points, true,
-		func(index int, res *sdpolicy.Result, report json.RawMessage) error {
-			if res != nil {
-				got[index] = res
-				return nil
-			}
-			prev := got[index]
-			if prev == nil {
-				t.Fatalf("report frame for undelivered index %d", index)
-			}
-			return local.PrimeProxied(points[index], prev, report)
-		})
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for run, wantAppended := range []int{5, 0} {
+		local := sdpolicy.NewEngine(2, 64)
+		_, closeLog, err := local.PersistCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[int]*sdpolicy.Result, len(points))
+		err = RunDurableCampaign(context.Background(), nil, []string{coord.URL}, points, true,
+			func(index int, res *sdpolicy.Result, report json.RawMessage) error {
+				if res != nil {
+					got[index] = res
+					return nil
+				}
+				prev := got[index]
+				if prev == nil {
+					t.Fatalf("report frame for undelivered index %d", index)
+				}
+				return local.PrimeProxied(points[index], prev, report)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(points) {
+			t.Fatalf("%d results, want %d", len(got), len(points))
+		}
+		if appended, err := closeLog(); err != nil || appended != wantAppended {
+			t.Fatalf("run %d appended %d entries (err %v), want %d", run, appended, err, wantAppended)
+		}
+		res, err := local.Run(context.Background(), points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, misses := local.CacheStats(); misses != 0 {
+			t.Fatalf("%d misses after remote warming, want 0", misses)
+		}
+		assertResultsMatch(t, res, coordReferenceResults(t))
 	}
-	if len(got) != len(points) {
-		t.Fatalf("%d results, want %d", len(got), len(points))
-	}
-	res, err := local.Run(context.Background(), points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := local.CacheStats(); misses != 0 {
-		t.Fatalf("%d misses after remote warming, want 0", misses)
-	}
-	assertResultsMatch(t, res, coordReferenceResults(t))
 }
 
 // BenchmarkCoordinatorFanout is the CI fan-out smoke: a three-worker

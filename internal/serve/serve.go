@@ -133,8 +133,8 @@ type CoordinatorConfig struct {
 	LeaseTTL time.Duration
 	// WarmCache negotiates per-job report frames from the workers and
 	// primes the coordinator's local engine cache with every proxied
-	// result, so Engine.SaveCache (sdserve -cache-dir) spills a file
-	// that warms later local runs — fig4-9 style analyses included.
+	// result, which Engine.PersistCache (sdserve -cache-dir) appends to
+	// disk, warming later local runs — fig4-9 style analyses included.
 	WarmCache bool
 }
 

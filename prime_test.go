@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"path/filepath"
 	"testing"
 )
 
@@ -12,8 +11,8 @@ import (
 // the API level: a Result that crossed the wire (public JSON only),
 // restored with SetReportJSON and primed into a second engine, must
 // serve the same campaign point as a pure cache hit with byte-equal
-// output — and survive a SaveCache/LoadCache round trip with its
-// per-job report intact.
+// output — and survive a PersistCache round trip with its per-job
+// report intact.
 func TestPrimeFromWireResultRoundTrips(t *testing.T) {
 	ctx := context.Background()
 	point := NewPoint("wl5", 0.2, 1, Options{Policy: "sd", MaxSlowdown: 10})
@@ -62,28 +61,27 @@ func TestPrimeFromWireResultRoundTrips(t *testing.T) {
 		t.Fatalf("primed report lost daily rows: %d vs %d", len(got.Daily()), len(want.Daily()))
 	}
 
-	// The primed entry spills and reloads like a simulated one.
-	spill := filepath.Join(t.TempDir(), CacheFileName)
-	stats, err := warmed.SaveCache(spill)
-	if err != nil {
+	// The primed entry persists and reloads like a simulated one.
+	dir := t.TempDir()
+	persisted := NewEngine(2, 16)
+	_, closeLog := persistCache(t, persisted, dir)
+	if err := persisted.Prime(point, &restored); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Entries != 1 {
-		t.Fatalf("spilled %d entries, want 1", stats.Entries)
+	if n := closeLog(); n != 1 {
+		t.Fatalf("appended %d entries, want 1", n)
 	}
 	reloaded := NewEngine(2, 16)
-	if err := reloaded.LoadCache(spill); err != nil {
-		t.Fatal(err)
-	}
+	persistCache(t, reloaded, dir)
 	res, err := reloaded.SimulatePoint(ctx, point)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := reloaded.CacheStats(); misses != 0 {
-		t.Fatal("reloaded spill did not serve the point from cache")
+		t.Fatal("reloaded log did not serve the point from cache")
 	}
 	if len(res.Daily()) != len(want.Daily()) {
-		t.Fatal("report lost across spill round trip")
+		t.Fatal("report lost across the log round trip")
 	}
 }
 

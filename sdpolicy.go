@@ -47,8 +47,9 @@
 // applied copy-on-write at simulation time. Campaign Points carry the
 // same chains (NewDerivedPoint), so a k-variant ablation generates its
 // base workload exactly once and every labelled sweep is addressable
-// as plain points over HTTP. Engine.SaveCache/LoadCache spill the
-// result cache to disk so repeated campaigns survive restarts.
+// as plain points over HTTP. Engine.PersistCache appends each result
+// to a log in a cache directory the moment it exists, so repeated
+// campaigns survive restarts and crashes.
 //
 // cmd/sdserve exposes the same engine over HTTP (POST /v1/simulate,
 // the /v1/campaigns resources and the /v1/experiments plane), serving
