@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -327,5 +330,83 @@ func TestCoordinatorCancelPropagatesToShards(t *testing.T) {
 	}
 	if _, misses := engine.CacheStats(); misses >= points {
 		t.Fatalf("worker simulated all %d points despite the cancel", misses)
+	}
+}
+
+// FuzzShardStream serves arbitrary bytes as a worker's attach stream to
+// runShard for a shard of three positions. runShard must not panic; it
+// may emit only the shard's positions, each at most once; the remainder
+// it returns plus the positions it emitted must be the whole shard; and
+// it may return verdictOK only after a done frame, with every position
+// delivered. The seeds are a clean stream, a torn last line, a
+// duplicate index, an out-of-range index, a report frame before its
+// result and a shutdown frame.
+func FuzzShardStream(f *testing.F) {
+	shard := []int{1, 3, 4}
+	// One fake worker serves every input, as a fuzz process runs its
+	// inputs one at a time: a server per input is ten times slower.
+	var stream atomic.Pointer[[]byte]
+	var attached atomic.Bool
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPost:
+			w.WriteHeader(http.StatusCreated)
+			io.WriteString(w, `{"id":"s"}`)
+		case http.MethodGet:
+			attached.Store(true)
+			w.Write(*stream.Load())
+		}
+	}))
+	f.Cleanup(worker.Close)
+	c, err := newCoordinator(CoordinatorConfig{Client: worker.Client()}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A copy: a handler cut off mid-write may still read it after
+		// this input returns, when the engine reuses data.
+		body := bytes.Clone(data)
+		stream.Store(&body)
+		attached.Store(false)
+		updates := make(chan sdpolicy.PointResult, len(shard))
+		st := &fanout{points: make([]sdpolicy.Point, 5), updates: updates,
+			received: make([]bool, 5), reported: make([]bool, 5)}
+		rem, err, verdict := c.runShard(context.Background(), worker.URL, shardJob{positions: shard}, st, false)
+		close(updates)
+		if !attached.Load() {
+			t.Fatalf("runShard never attached to the stream: %v", err)
+		}
+		emitted := make(map[int]bool)
+		for u := range updates {
+			if !slices.Contains(shard, u.Index) || emitted[u.Index] {
+				t.Fatalf("emitted position %d outside shard %v or twice", u.Index, shard)
+			}
+			emitted[u.Index] = true
+		}
+		whole := slices.Clone(rem.positions)
+		for pos := range emitted {
+			whole = append(whole, pos)
+		}
+		if slices.Sort(whole); !slices.Equal(whole, shard) {
+			t.Fatalf("remainder %v plus emitted %v is not shard %v", rem.positions, emitted, shard)
+		}
+		if verdict == verdictOK && (err != nil || len(emitted) != len(shard) || !holdsDone(data)) {
+			t.Fatalf("verdictOK (err %v) with %d of %d positions emitted", err, len(emitted), len(shard))
+		}
+	})
+}
+
+// holdsDone reports whether a done frame precedes the first line of
+// stream that does not decode.
+func holdsDone(stream []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(stream))
+	for {
+		var f struct{ Done bool }
+		if dec.Decode(&f) != nil {
+			return false
+		}
+		if f.Done {
+			return true
+		}
 	}
 }
