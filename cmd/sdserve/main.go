@@ -226,7 +226,6 @@ func main() {
 		}
 	}
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           api.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -244,8 +243,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdserve: debug listener on %s (/debug/pprof/, /metrics)\n", *debugAddr)
 	}
 
+	// Bind before the join loop announces this worker: a coordinator
+	// sends a registered worker shards at once, and a dial before the
+	// bind would be refused and mark the worker dead.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sdserve:", err)
+		os.Exit(1)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	build := serve.BuildInfo()
 	fmt.Fprintf(os.Stderr, "sdserve: version %s (%s, built %s) listening on %s (%d workers, cache %d, max in-flight %d)\n",
 		build.Version, build.Go, buildTimeOrUnknown(build), *addr, *workers, *cache, *inflight)
@@ -306,7 +313,7 @@ func main() {
 	api.BeginShutdown()
 	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
-	err := srv.Shutdown(shutCtx)
+	err = srv.Shutdown(shutCtx)
 	// The join loop deregisters from its coordinator once ctx is done;
 	// wait so the lease is released before exit.
 	<-joinDone

@@ -11,9 +11,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
-
-	"sdpolicy/internal/serve"
 )
 
 // mixed is a fixed-seed campaign over presets, policies, a dynamic
@@ -101,13 +98,13 @@ func distributed(t *testing.T) {
 		t.Fatal("the rerun requeued no shard: it never met the dead worker")
 	}
 
+	queued := e.metrics(coord)["fleet_shards_queued_total"]
 	e.create(coord+"/v1/campaigns", "ci-trace-1", `{"points":`+mixed+`,"trace":true}`)
-	e.until("worker 1 reporting completed points", func() bool {
-		e.metrics(coord)
-		return e.metrics(workers[0])["campaign_points_completed_total"] > 0
+	e.until("the coordinator queueing the traced campaign's shards", func() bool {
+		return e.metrics(coord)["fleet_shards_queued_total"] > queued
 	})
-	if e.metrics(coord)["fleet_shards_queued_total"] == 0 {
-		t.Fatal("coordinator /metrics counts no queued shards")
+	if e.metrics(workers[0])["campaign_points_completed_total"] == 0 {
+		t.Fatal("worker 1 /metrics counts no completed points")
 	}
 	traces := slices.DeleteFunc(e.frames(coord+"/v1/campaigns/ci-trace-1"), func(f frame) bool { return !f.Trace })
 	if len(traces) != 1 {
@@ -168,15 +165,10 @@ func elasticity(t *testing.T) {
 		t.Fatal("killing worker A requeued no shard: the fault missed the campaign")
 	}
 
-	// sdserve -join can announce a worker before its listener is bound,
-	// and the shard sent to it then fails. So the late joiner makes the
-	// same registration call once it answers and campaign B simulates.
-	e.serve("wD", wD, "-workers", "1")
 	started := e.sum("campaign_points_started_total", wA, wB, wC)
 	client = e.start("joined", "sdexp", "-points", ptsB, "-server", coord)
 	e.until("campaign B simulating", func() bool { return e.sum("campaign_points_started_total", wA, wB, wC) > started })
-	_, err := serve.Register(e.ctx, nil, coord, wD, 5*time.Second)
-	e.must(err)
+	e.serve("wD", wD, "-workers", "1", "-join", coord, "-lease-ttl", "5s")
 	e.wait(client)
 	same(t, "the late-joiner campaign", baseB, e.read(client.out))
 	if e.health(wD).CacheMisses == 0 {
@@ -216,11 +208,15 @@ func failover(t *testing.T) {
 	e.until("2 alive workers", func() bool { return len(e.alive(active)) == 2 })
 
 	client := e.start("failover", "sdexp", "-points", pts, "-server", active+","+standby)
-	e.until("4 journaled results", func() bool { return e.journaled(journal) >= 4 })
+	e.until("4 journaled results", func() bool {
+		n, err := journaledResults(journal)
+		return err == nil && n >= 4
+	})
 	procActive.stop(syscall.SIGKILL)
 	// The dead coordinator was the journal's only writer, and the
 	// workers finish the shards it left them before the snapshot.
-	journaled := e.journaled(journal)
+	journaled, err := journaledResults(journal)
+	e.must(err)
 	e.until("the workers idle", func() bool { return e.health(w1).InFlight+e.health(w2).InFlight == 0 })
 	before := e.sum("campaign_points_completed_total", w1, w2)
 	if role := e.health(standby).Role; role != "standby" {
@@ -371,6 +367,9 @@ func traces(t *testing.T) {
 
 	loc := e.create(coord+"/v1/experiments", "", fmt.Sprintf(`{"experiment":"real_trace","params":{"trace":%q}}`, digest))
 	fs := e.frames(coord + loc)
+	if len(fs) == 0 {
+		t.Fatal("the real_trace stream is empty")
+	}
 	if end := fs[len(fs)-1]; !end.Done || end.Error != nil || end.Summary == nil || end.Summary.Static.Jobs != 100 {
 		t.Fatalf("real_trace ended with %+v, want done with a summary over 100 static jobs", end)
 	}

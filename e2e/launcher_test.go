@@ -27,6 +27,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"sdpolicy/internal/journal"
 )
 
 // binDir holds the sdserve and sdexp binaries TestMain builds.
@@ -159,16 +161,10 @@ func (e *env) serve(label, base string, args ...string) *proc {
 func (e *env) urls(n int) []string {
 	e.t.Helper()
 	var out []string
-	var ls []net.Listener
-	defer func() {
-		for _, l := range ls {
-			l.Close()
-		}
-	}()
 	for range n {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		e.must(err)
-		ls = append(ls, l)
+		defer l.Close()
 		out = append(out, "http://"+l.Addr().String())
 	}
 	return out
@@ -384,24 +380,30 @@ func interleave(outs ...string) string {
 	return strings.Join(lines, "")
 }
 
-// journaled counts the result records in the readable prefix of every
-// campaign journal in dir: the checkpoint set a standby recovers.
-func (e *env) journaled(dir string) int {
-	files, _ := filepath.Glob(filepath.Join(dir, "*.journal")) // the pattern is well-formed
+// journaledResults counts the result records a standby would recover
+// from dir; a journal still missing its create record is an error.
+func journaledResults(dir string) (int, error) {
+	j, err := journal.Open(dir)
+	if err != nil {
+		return 0, err
+	}
+	ids, err := j.List()
+	if err != nil {
+		return 0, err
+	}
 	n := 0
-	for _, f := range files {
-		dec := json.NewDecoder(strings.NewReader(e.read(f)))
-		for {
-			var rec struct{ Kind string }
-			if dec.Decode(&rec) != nil {
-				break
-			}
-			if rec.Kind == "result" {
+	for _, id := range ids {
+		recs, err := j.Read(id)
+		if err != nil {
+			return 0, err
+		}
+		for _, r := range recs {
+			if r.Kind == journal.KindResult {
 				n++
 			}
 		}
 	}
-	return n
+	return n, nil
 }
 
 // TestLauncherStopsChildren checks the cleanup every scenario relies
