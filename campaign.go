@@ -330,11 +330,10 @@ type PointResult struct {
 	Index  int     `json:"index"`
 	Point  Point   `json:"point"`
 	Result *Result `json:"result"`
-	// Report carries the point's per-job report encoding when the
-	// campaign negotiated report frames (the coordinator's cache-warming
-	// path). It is transport metadata, never part of the result line's
-	// JSON: a delivery with a nil Result and a non-nil Report is a
-	// report-only frame for a previously delivered index.
+	// Report carries the point's per-job report encoding when a
+	// coordinator relays a report campaign: the bytes its worker sent,
+	// for the result frame's "report" key. It is transport metadata,
+	// never part of the result line's JSON.
 	Report json.RawMessage `json:"-"`
 }
 

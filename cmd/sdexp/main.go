@@ -61,9 +61,10 @@
 //     (worker or coordinator) as a /v1/campaigns resource instead of
 //     simulating in-process, with the same input-ordered,
 //     byte-identical NDJSON output. Combined with -cache-dir, the
-//     campaign is created with per-job report frames and every proxied
-//     result — report included — is appended to the local cache
-//     directory, warming later in-process runs.
+//     campaign is created with "reports":true, so each result frame
+//     carries its per-job report, and every proxied result — report
+//     included — is appended to the local cache directory, warming
+//     later in-process runs.
 //
 // Two profiling surfaces coexist, one offline and one live:
 //
@@ -288,10 +289,10 @@ func emitCacheStatsJSON(w io.Writer) {
 // shard outputs interleave by index into exactly the full run's bytes.
 // With serverURL, the campaign executes on a remote sdserve instance
 // (worker or coordinator) and the stream is re-ordered locally — same
-// bytes, remote cycles. With warm, the remote campaign additionally
-// carries per-job report frames and primes the local engine cache
-// with every proxied result, which -cache-dir appends to its log so
-// later local runs are warm.
+// bytes, remote cycles. With warm, the remote campaign's result frames
+// also carry their per-job reports, and every proxied result primes the
+// local engine cache, which -cache-dir appends to its log so later
+// local runs are warm.
 func (r *runner) runPoints(path, shardSpec, serverURL string, warm bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -391,9 +392,9 @@ func parseShard(spec string) (index, of int, err error) {
 // updates closes before returning, and the first error aborts. The
 // durable client reattaches with its ?from= cursor on mid-stream
 // disconnects, server restarts and coordinator failovers, so those are
-// invisible here beyond latency. With warm, per-job report frames are
-// negotiated and every proxied result is primed — report attached —
-// into engine's cache, which appends it to the -cache-dir log.
+// invisible here beyond latency. With warm, the campaign asks for
+// per-job reports, and every proxied result is primed — report attached
+// — into engine's cache, which appends it to the -cache-dir log.
 func streamFromServer(ctx context.Context, serverList string, engine *sdpolicy.Engine, points []sdpolicy.Point, warm bool, updates chan<- sdpolicy.PointResult) error {
 	defer close(updates)
 	var bases []string
@@ -402,25 +403,11 @@ func streamFromServer(ctx context.Context, serverList string, engine *sdpolicy.E
 			bases = append(bases, b)
 		}
 	}
-	var got map[int]*sdpolicy.Result
-	if warm {
-		got = make(map[int]*sdpolicy.Result, len(points))
-	}
 	return serve.RunDurableCampaign(ctx, nil, bases, points, warm, func(index int, res *sdpolicy.Result, report json.RawMessage) error {
-		if res == nil {
-			// Report frame for an already-delivered result: warm the
-			// local cache with it. Best-effort — a server that never
-			// sends frames just leaves the cache cold.
-			if prev := got[index]; prev != nil {
-				engine.PrimeProxied(points[index], prev, report)
-				// One frame per result: release the reference so a huge
-				// campaign does not hold every Result until the end.
-				delete(got, index)
-			}
-			return nil
-		}
-		if warm {
-			got[index] = res
+		// Warming is best-effort: a result whose report does not decode
+		// just leaves the cache cold for that point.
+		if warm && res.SetReportJSON(report) == nil {
+			engine.Prime(points[index], res)
 		}
 		// Echo our own point value, not the server's parse of it, so
 		// output bytes match a local run exactly.

@@ -11,8 +11,9 @@
 //	POST /v1/campaigns {"points":[{"workload":"wl1","scale":0.1,
 //	                    "options":{"policy":"sd"}}, ...]} — creates a
 //	                   campaign resource (201 + Location) that runs
-//	                   detached from the connection; "reports":true and
-//	                   "trace":true add report and trace frames
+//	                   detached from the connection; "reports":true puts
+//	                   each point's per-job report in its result frame,
+//	                   "trace":true adds a trace frame
 //	GET  /v1/campaigns/{id}?from=<seq>  attach to the campaign's frame
 //	                   stream (SSE or NDJSON), resumable from any seq
 //	GET  /v1/campaigns/{id}/status      compact progress
@@ -71,10 +72,10 @@
 //     (heartbeating a TTL'd lease, deregistering on shutdown), so the
 //     fleet can grow and shrink without restarting the coordinator; a
 //     worker joining mid-campaign steals queued shards immediately.
-//   - With -cache-dir the coordinator negotiates per-job report frames
-//     from its workers and appends every proxied result to its cache
-//     log as it arrives, so the directory warms later local sdexp runs
-//     (fig4-9 analyses too).
+//   - With -cache-dir the coordinator asks its workers for per-job
+//     reports, which ride in their result frames, and appends every
+//     proxied result to its cache log as it arrives, so the directory
+//     warms later local sdexp runs (fig4-9 analyses too).
 //
 // /v1/simulate keeps running on the local engine; /healthz reports per-peer fleet state (alive|dead|probing,
 // consecutive failures, last error, remaining lease).
@@ -193,7 +194,6 @@ func main() {
 			ShardsPerWorker: *perWorker,
 			ProbeInterval:   *probeEvery,
 			LeaseTTL:        *leaseTTL,
-			WarmCache:       closeCache != nil,
 		}
 		if err := api.EnableCoordinator(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "sdserve:", err)

@@ -7,6 +7,11 @@
 // numbers of the equivalent point. -swf registers an SWF trace as
 // trace:<digest>; the machine comes from the trace's header comments.
 //
+// Beside the event and pass counts, sdsim prints the wall time of the
+// simulation alone, workload generation excluded, and the sha256 of the
+// per-job results' JSON, the digest TestDecisionDigests pins: equal
+// digests mean the same scheduling decisions.
+//
 // Examples:
 //
 //	sdsim -wl wl1 -scale 0.25 -policy sd -maxsd 10
@@ -15,11 +20,14 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"sdpolicy"
 	"sdpolicy/internal/sched"
@@ -92,11 +100,17 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Observer = rec
 	}
 
+	begin := time.Now()
 	res, err := sched.Run(*spec, cfg)
 	if err != nil {
 		return err
 	}
-	printResult(stdout, spec, res, *verbose)
+	wall := time.Since(begin)
+	results, err := json.Marshal(res.Report.Results)
+	if err != nil {
+		return err
+	}
+	printResult(stdout, spec, res, wall, sha256.Sum256(results), *verbose)
 	if rec != nil {
 		if err := writeTraces(rec, *traceFile, *timeline); err != nil {
 			return err
@@ -131,7 +145,7 @@ func writeTraces(rec *trace.Recorder, traceFile, timeline string) error {
 	return nil
 }
 
-func printResult(w io.Writer, spec *workload.Spec, res *sched.Result, verbose bool) {
+func printResult(w io.Writer, spec *workload.Spec, res *sched.Result, wall time.Duration, digest [sha256.Size]byte, verbose bool) {
 	rep := &res.Report
 	fmt.Fprintf(w, "workload      %s (%d jobs, %d nodes x %d cores)\n",
 		res.Workload, len(spec.Jobs), spec.Cluster.Nodes, spec.Cluster.CoresPerNode())
@@ -145,7 +159,8 @@ func printResult(w io.Writer, spec *workload.Spec, res *sched.Result, verbose bo
 		res.MalleableStarts, 100*float64(res.MalleableStarts)/float64(len(spec.Jobs)),
 		res.Mates, 100*float64(res.Mates)/float64(len(spec.Jobs)))
 	fmt.Fprintf(w, "drom          %d registered, %d mask sets\n", res.DROM.Registered, res.DROM.MaskSets)
-	fmt.Fprintf(w, "sim           %d events, %d passes\n", res.Events, res.Passes)
+	fmt.Fprintf(w, "sim           %d events, %d passes in %.3f s\n", res.Events, res.Passes, wall.Seconds())
+	fmt.Fprintf(w, "digest        %x\n", digest)
 	if !verbose {
 		return
 	}

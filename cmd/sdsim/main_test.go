@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -12,7 +13,8 @@ import (
 )
 
 // TestRunMatchesEnginePoint: sdsim prints the numbers of the campaign
-// point its flags spell, run through sdpolicy.Engine.
+// point its flags spell, run through sdpolicy.Engine, and the digest of
+// that point's per-job results.
 func TestRunMatchesEnginePoint(t *testing.T) {
 	info, err := sdpolicy.RegisterTraceFile("../../testdata/sample.swf")
 	if err != nil {
@@ -47,6 +49,14 @@ func TestRunMatchesEnginePoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			report, err := res.ReportJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep struct{ Results json.RawMessage }
+			if err := json.Unmarshal(report, &rep); err != nil {
+				t.Fatal(err)
+			}
 			for _, want := range []string{
 				fmt.Sprintf("workload      %s (", res.Workload),
 				fmt.Sprintf("makespan      %d s\n", res.Makespan),
@@ -54,6 +64,7 @@ func TestRunMatchesEnginePoint(t *testing.T) {
 				fmt.Sprintf("avg slowdown  %.1f\n", res.AvgSlowdown),
 				fmt.Sprintf("energy        %.1f kWh\n", res.EnergyKWh),
 				fmt.Sprintf("malleable     %d starts", res.MalleableStarts),
+				fmt.Sprintf("digest        %x\n", sha256.Sum256(rep.Results)),
 			} {
 				if !strings.Contains(out.String(), want) {
 					t.Errorf("output lacks %q:\n%s", want, out.String())

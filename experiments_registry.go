@@ -314,26 +314,6 @@ func (x *expInstance) Summary() (any, error) {
 	return x.summary()
 }
 
-// reportedInstance adds report folding for NeedsReports experiments:
-// the per-point report encoding is attached to a clone of the stored
-// result (the streamed pointer may be shared with other consumers),
-// restoring what the result wire form strips.
-type reportedInstance struct {
-	*expInstance
-}
-
-func (x *reportedInstance) FoldReport(i int, report []byte) error {
-	if i < 0 || i >= len(x.results) || x.results[i] == nil {
-		return fmt.Errorf("sdpolicy: report for unfolded index %d", i)
-	}
-	clone := *x.results[i]
-	if err := clone.SetReportJSON(report); err != nil {
-		return fmt.Errorf("sdpolicy: report for index %d: %w", i, err)
-	}
-	x.results[i] = &clone
-	return nil
-}
-
 // hasReport reports whether the result still carries its per-job
 // report (stripped by the result wire form, restored by SetReportJSON).
 func (r *Result) hasReport() bool { return len(r.report.Results) > 0 }
@@ -470,7 +450,7 @@ func modelsInstance(workloads []string, scale float64, seed uint64) *expInstance
 	return x
 }
 
-func bigWorkloadInstance(scale float64, seed uint64) ExperimentInstance {
+func bigWorkloadInstance(scale float64, seed uint64) *expInstance {
 	x := &expInstance{
 		points: []Point{
 			NewPoint("wl4", scale, seed, Options{Policy: "static"}),
@@ -493,7 +473,7 @@ func bigWorkloadInstance(scale float64, seed uint64) ExperimentInstance {
 			SDDaily:       sd.Daily(),
 		}, nil
 	}
-	return &reportedInstance{x}
+	return x
 }
 
 func realRunInstance(scale float64, seed uint64) *expInstance {

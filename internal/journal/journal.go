@@ -5,8 +5,9 @@
 //
 // Each campaign is one NDJSON file of Records in a journal directory:
 // record 0 is the campaign's creation payload (its point list and
-// stream options), every later record is one stream frame (result,
-// report, or the terminal done/error/cancelled event) stored as the
+// stream options), every later record is one stream frame — a result
+// (carrying its per-job report when the campaign asked for reports), a
+// trace, or the terminal done/error/cancelled event — stored as the
 // exact bytes that were put on the wire. Replaying a journal therefore
 // reproduces the stream byte-for-byte, and the set of journaled result
 // records is the campaign's checkpoint set: a resumed run dispatches
@@ -52,7 +53,6 @@ import (
 const (
 	KindCreate    = "create"
 	KindResult    = "result"
-	KindReport    = "report"
 	KindDone      = "done"
 	KindError     = "error"
 	KindCancelled = "cancelled"

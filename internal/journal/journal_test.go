@@ -32,7 +32,7 @@ func TestCreateAppendReadRoundTrip(t *testing.T) {
 		data string
 	}{
 		{KindResult, `{"seq":1,"index":0}`},
-		{KindReport, `{"seq":2,"report_for":0}`},
+		{KindTrace, `{"seq":2,"trace":true}`},
 		{KindResult, `{"seq":3,"index":2}`},
 		{KindDone, `{"seq":4,"done":true}`},
 	}

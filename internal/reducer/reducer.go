@@ -222,14 +222,6 @@ type Instance[P, R any] interface {
 	Summary() (any, error)
 }
 
-// ReportFolder is implemented by instances of descriptors with
-// NeedsReports set: FoldReport attaches the per-point report encoding
-// that streams after the point's result, restoring whatever the result
-// wire form strips (the inputs of heatmap and daily analyses).
-type ReportFolder interface {
-	FoldReport(index int, report []byte) error
-}
-
 // Descriptor declares one experiment: its registry name, the
 // parameters it accepts, and the constructor turning resolved
 // parameters into a fold instance.
@@ -240,7 +232,8 @@ type Descriptor[P, R any] struct {
 	Params      []ParamSpec
 	// NeedsReports marks experiments whose Summary consumes per-point
 	// reports beyond the result wire form; a server backing the
-	// experiment with a campaign must negotiate report frames.
+	// experiment with a campaign must ask for them, and attach each to
+	// its result before Fold.
 	NeedsReports bool
 	// New builds a fold instance from a fully resolved parameter set
 	// (see Resolve); it must not assume defaults were applied by anyone

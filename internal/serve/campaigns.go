@@ -37,7 +37,7 @@ import (
 // Stream frames (SSE event name / NDJSON line):
 //
 //	result    {"seq":N,"index":i,"point":...,"result":...}
-//	report    {"seq":N,"report_for":i,"report":...}   (reports: true)
+//	          (reports: true adds "report":<per-job report>)
 //	trace     {"seq":N,"trace":true,"campaign_id":...}  (trace: true;
 //	          just before the terminal frame, see TraceFrame)
 //	done      {"seq":N,"done":true,"points":K}        terminal
@@ -64,8 +64,8 @@ const maxTerminalCampaigns = 64
 // encoding is chosen per attach, not per campaign.
 type CreateCampaignRequest struct {
 	Points []sdpolicy.PointSpec `json:"points"`
-	// Reports adds a per-job report frame after each result, so an
-	// attaching client can warm a local result cache (Engine.Prime)
+	// Reports adds each point's per-job report to its result frame, so
+	// an attaching client can warm a local result cache (Engine.Prime)
 	// with entries equivalent to locally simulated ones.
 	Reports bool `json:"reports,omitempty"`
 	// Trace adds a trace frame just before the terminal frame: where
@@ -401,13 +401,11 @@ func (s *Server) recoverCampaign(id string) (cs *campaignState, remaining []int,
 		cs.frames = append(cs.frames, frame{seq: rec.Seq, event: rec.Kind, data: rec.Data})
 		switch rec.Kind {
 		case journal.KindResult:
-			var v struct {
-				Index int `json:"index"`
-			}
-			if err := json.Unmarshal(rec.Data, &v); err != nil {
+			f, err := resultFrame(rec.Data)
+			if err != nil {
 				return nil, nil, false, fmt.Errorf("result record %d: %w", rec.Seq, err)
 			}
-			done = append(done, v.Index)
+			done = append(done, *f.Index)
 		case journal.KindDone:
 			cs.state = campaignDone
 		case journal.KindCancelled:
@@ -682,11 +680,7 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 			"mode", mode, "duration_ms", time.Since(begin).Milliseconds())
 	}()
 
-	bufSize := len(pts)
-	if cs.reports {
-		bufSize *= 2
-	}
-	updates := make(chan sdpolicy.PointResult, bufSize)
+	updates := make(chan sdpolicy.PointResult, len(pts))
 	errc := make(chan error, 1)
 	run := func(ctx context.Context, pts []sdpolicy.Point, updates chan<- sdpolicy.PointResult) error {
 		_, err := s.engine.RunStream(ctx, pts, updates)
@@ -704,18 +698,11 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 		// the campaign's original position, so resumed frames carry the
 		// same indices an uninterrupted run would have.
 		pos := remaining[u.Index]
-		if u.Result == nil {
-			if cs.reports && u.Report != nil {
-				s.appendReport(cs, pos, u.Report)
-			}
-			continue
+		if cs.reports && s.coord == nil {
+			// A report holds no floats, so it always encodes.
+			u.Report, _ = u.Result.ReportJSON()
 		}
 		s.appendResult(cs, pos, u)
-		if cs.reports && s.coord == nil {
-			if raw, err := u.Result.ReportJSON(); err == nil {
-				s.appendReport(cs, pos, raw)
-			}
-		}
 	}
 	s.finishCampaign(cs, <-errc, tr)
 }
@@ -811,8 +798,9 @@ func (s *Server) appendErrorTerminal(cs *campaignState, err error) {
 	observeExperiment(cs, campaignFailed)
 }
 
-// appendResult journals and buffers one result frame. The frame embeds
-// its seq, so journal replay reproduces the bytes exactly.
+// appendResult journals and buffers one result frame, with the
+// point's per-job report when u carries one. The frame embeds its seq,
+// so journal replay reproduces the bytes exactly.
 func (s *Server) appendResult(cs *campaignState, pos int, u sdpolicy.PointResult) {
 	s.appendFrame(cs, journal.KindResult, func(seq uint64) any {
 		return struct {
@@ -820,18 +808,9 @@ func (s *Server) appendResult(cs *campaignState, pos int, u sdpolicy.PointResult
 			Index  int              `json:"index"`
 			Point  sdpolicy.Point   `json:"point"`
 			Result *sdpolicy.Result `json:"result"`
-		}{seq, pos, cs.points[pos], u.Result}
+			Report json.RawMessage  `json:"report,omitempty"`
+		}{seq, pos, cs.points[pos], u.Result, u.Report}
 	}, func(cs *campaignState) { cs.completed++ })
-}
-
-func (s *Server) appendReport(cs *campaignState, pos int, report json.RawMessage) {
-	s.appendFrame(cs, journal.KindReport, func(seq uint64) any {
-		return struct {
-			Seq       uint64          `json:"seq"`
-			ReportFor int             `json:"report_for"`
-			Report    json.RawMessage `json:"report"`
-		}{seq, pos, report}
-	}, nil)
 }
 
 func (s *Server) appendTerminal(cs *campaignState, kind, state string, payload func(seq uint64) any) {

@@ -9,8 +9,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -474,40 +475,23 @@ func TestJournalCrashResume(t *testing.T) {
 	}
 }
 
-// cutConn aborts the response after a byte budget, standing in for a
-// dropped connection mid-stream.
-type cutWriter struct {
-	http.ResponseWriter
-	remaining *atomic.Int64
-}
-
-func (c *cutWriter) Write(p []byte) (int, error) {
-	if c.remaining.Add(-int64(len(p))) < 0 {
-		panic(http.ErrAbortHandler)
-	}
-	return c.ResponseWriter.Write(p)
-}
-
-func (c *cutWriter) Flush() {
-	if fl, ok := c.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
 // TestDurableClientRidesThroughDisconnect cuts the first attach stream
-// after ~one frame; RunDurableCampaign must reattach with its cursor
-// and deliver every result exactly once.
+// after its first frame; RunDurableCampaign must reattach from that
+// frame's seq and deliver every result exactly once.
 func TestDurableClientRidesThroughDisconnect(t *testing.T) {
 	s := New(sdpolicy.NewEngine(2, 64), 4)
 	inner := s.Handler()
-	var attaches atomic.Int64
-	var budget atomic.Int64
-	budget.Store(300) // roughly one result frame
+	var mu sync.Mutex
+	var cursors []uint64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/campaigns/") {
-			if attaches.Add(1) == 1 {
-				inner.ServeHTTP(&cutWriter{ResponseWriter: w, remaining: &budget}, r)
-				return
+			mu.Lock()
+			from, _ := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+			cursors = append(cursors, from)
+			first := len(cursors) == 1
+			mu.Unlock()
+			if first {
+				w = &cutAfter{ResponseWriter: w, frames: 1}
 			}
 		}
 		inner.ServeHTTP(w, r)
@@ -530,8 +514,10 @@ func TestDurableClientRidesThroughDisconnect(t *testing.T) {
 	if len(got) != campaignPointCount {
 		t.Fatalf("delivered %d results, want %d", len(got), campaignPointCount)
 	}
-	if attaches.Load() < 2 {
-		t.Fatalf("stream was cut but only %d attach(es) happened", attaches.Load())
+	mu.Lock()
+	defer mu.Unlock()
+	if len(cursors) < 2 || cursors[1] < 1 {
+		t.Fatalf("attach cursors %v: want the reattach after the cut to resume from seq 1 or later", cursors)
 	}
 	want, err := sdpolicy.NewEngine(4, 64).Run(context.Background(), points)
 	if err != nil {

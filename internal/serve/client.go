@@ -22,12 +22,12 @@ import (
 
 // streamFrame decodes any line of a /v1/campaigns/{id} or
 // /v1/experiments/{id} NDJSON stream. Every frame but shutdown carries
-// a monotonic Seq — the reattach cursor.
+// a monotonic Seq — the reattach cursor. A result frame of a report
+// campaign carries the point's per-job report encoding in Report.
 type streamFrame struct {
 	Seq       uint64           `json:"seq"`
 	Index     *int             `json:"index"`
 	Result    *sdpolicy.Result `json:"result"`
-	ReportFor *int             `json:"report_for"`
 	Report    json.RawMessage  `json:"report"`
 	Row       json.RawMessage  `json:"row"`
 	Summary   json.RawMessage  `json:"summary"`
@@ -35,6 +35,17 @@ type streamFrame struct {
 	Cancelled *bool            `json:"cancelled"`
 	Shutdown  *bool            `json:"shutdown"`
 	Error     *ErrorDetail     `json:"error"`
+}
+
+// resultFrame decodes a result frame a server reads back from its own
+// campaign's frames.
+func resultFrame(data []byte) (streamFrame, error) {
+	var f streamFrame
+	err := json.Unmarshal(data, &f)
+	if err == nil && (f.Index == nil || f.Result == nil) {
+		err = errors.New("not a result frame")
+	}
+	return f, err
 }
 
 // statusError is a non-2xx reply, kept with its status so callers can
@@ -230,40 +241,28 @@ func (e *fatalStreamError) Unwrap() error { return e.err }
 
 // RunDurableCampaign executes points as a /v1/campaigns resource
 // against a set of equivalent server bases (the active coordinator and
-// its failover standbys), calling emit for each delivery in completion
-// order: result deliveries carry a non-nil res for points[index], and —
-// when reports is true — report deliveries follow with a nil res and
-// the report encoding for an index already delivered (feed it to
-// Result.SetReportJSON / Engine.Prime to warm a local cache). It rides
-// through interruptions as runResource describes, deduplicating by
-// point index so the emit sequence is identical to an uninterrupted
-// run's. It backs sdexp -server.
+// its failover standbys), calling emit once per point in completion
+// order with the freshly decoded result for points[index] — and, when
+// reports is true, the per-job report encoding its frame carried
+// (attach it with Result.SetReportJSON, then Engine.Prime, to warm a
+// local cache). It rides through interruptions as runResource
+// describes, deduplicating by point index so the emit sequence is
+// identical to an uninterrupted run's. It backs sdexp -server.
 func RunDurableCampaign(ctx context.Context, client *http.Client, bases []string, points []sdpolicy.Point, reports bool, emit func(index int, res *sdpolicy.Result, report json.RawMessage) error) error {
 	seen := make(map[int]bool)
-	seenReport := make(map[int]bool)
 	body := struct {
 		Points  []sdpolicy.Point `json:"points"`
 		Reports bool             `json:"reports,omitempty"`
 	}{points, reports}
 	return runResource(ctx, client, bases, "/v1/campaigns", body, func(f streamFrame) error {
-		switch {
-		case f.Index != nil:
-			if *f.Index < 0 || *f.Index >= len(points) || f.Result == nil {
-				return fmt.Errorf("malformed result frame (index %d)", *f.Index)
-			}
-			if !seen[*f.Index] {
-				seen[*f.Index] = true
-				return emit(*f.Index, f.Result, nil)
-			}
-		case f.ReportFor != nil:
-			// Best-effort frames: ignore malformed ones rather than
-			// failing a campaign whose results are fine.
-			if *f.ReportFor >= 0 && *f.ReportFor < len(points) && len(f.Report) > 0 && !seenReport[*f.ReportFor] {
-				seenReport[*f.ReportFor] = true
-				return emit(*f.ReportFor, nil, f.Report)
-			}
+		if f.Index == nil || seen[*f.Index] {
+			return nil
 		}
-		return nil
+		if *f.Index < 0 || *f.Index >= len(points) || f.Result == nil {
+			return fmt.Errorf("malformed result frame (index %d)", *f.Index)
+		}
+		seen[*f.Index] = true
+		return emit(*f.Index, f.Result, f.Report)
 	})
 }
 

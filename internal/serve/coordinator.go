@@ -26,10 +26,10 @@ import (
 // taken out of rotation, and re-enters via the background health prober
 // (or by re-registering), so the merged output is identical to a
 // single-process run as long as the campaign never runs out of workers
-// entirely. With WarmCache the coordinator additionally negotiates
-// per-job report frames from the workers and primes its local engine
-// cache with the proxied results, which Engine.PersistCache appends to
-// the cache directory, so they warm later local analyses.
+// entirely. When its engine persists its cache (Engine.PersistCache),
+// the coordinator also asks its workers for per-job reports and primes
+// that cache with every proxied result, which the engine appends to the
+// cache directory, so they warm later local analyses.
 type coordinator struct {
 	peers           *peerSet
 	client          *http.Client
@@ -37,7 +37,6 @@ type coordinator struct {
 	probeInterval   time.Duration
 	probeTimeout    time.Duration
 	leaseTTL        time.Duration
-	warmCache       bool
 	engine          *sdpolicy.Engine
 }
 
@@ -62,7 +61,6 @@ func newCoordinator(cfg CoordinatorConfig, engine *sdpolicy.Engine) (*coordinato
 		probeInterval:   cfg.ProbeInterval,
 		probeTimeout:    cfg.ProbeTimeout,
 		leaseTTL:        cfg.LeaseTTL,
-		warmCache:       cfg.WarmCache,
 		engine:          engine,
 	}
 	if c.shardsPerWorker <= 0 {
@@ -159,7 +157,6 @@ type fanout struct {
 	pending     []shardJob
 	outstanding int // jobs not yet fully resolved (queued + in flight)
 	received    []bool
-	reported    []bool
 	active      map[string]bool // peers with a live worker loop
 	firstErr    error
 	// wake is closed and replaced on every enqueue so idle worker loops
@@ -177,9 +174,9 @@ type fanout struct {
 // run executes the campaign across the fleet, delivering each result on
 // updates the moment a worker streams it, and returns once every point
 // has resolved or the campaign failed. It mirrors Engine.RunStream's
-// contract: updates is closed before returning. wantReports relays the
-// negotiated per-job report frames to the client's stream as
-// report-only PointResults.
+// contract: updates is closed before returning. wantReports asks the
+// workers for per-job reports and relays each on its PointResult as the
+// bytes the worker sent.
 func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, updates chan<- sdpolicy.PointResult, wantReports bool, campaignID string, tr *traceRecorder) error {
 	defer close(updates)
 	c.peers.expireLeases()
@@ -200,7 +197,6 @@ func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, updates 
 		campaignID: campaignID,
 		trace:      tr,
 		received:   make([]bool, len(points)),
-		reported:   make([]bool, len(points)),
 		active:     make(map[string]bool),
 		wake:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -346,11 +342,11 @@ func (c *coordinator) workerLoop(ctx context.Context, workerURL string, st *fano
 // frame — the campaign cancelled, the stream cut — is DELETEd on the
 // worker, so it stops simulating points nobody will read.
 func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJob, st *fanout, wantReports bool) (remaining shardJob, err error, verdict shardVerdict) {
-	got := make([]*sdpolicy.Result, len(job.positions))
+	got := make([]bool, len(job.positions))
 	missing := func() shardJob {
 		var rem shardJob
 		for i, pos := range job.positions {
-			if got[i] == nil {
+			if !got[i] {
 				rem.positions = append(rem.positions, pos)
 			}
 		}
@@ -360,10 +356,12 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 	for i, pos := range job.positions {
 		pts[i] = st.points[pos]
 	}
+	prime := c.engine != nil && c.engine.PersistsCache()
+	reports := wantReports || prime
 	body, err := json.Marshal(struct {
 		Points  []sdpolicy.Point `json:"points"`
 		Reports bool             `json:"reports,omitempty"`
-	}{pts, wantReports || (c.warmCache && c.engine != nil)})
+	}{pts, reports})
 	if err != nil {
 		return job, err, verdictFatal
 	}
@@ -390,37 +388,27 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 		}
 		switch {
 		case f.Index != nil:
+			// A result arrives with its report or not at all: a frame
+			// without one leaves the point unresolved, to be requeued.
 			local := *f.Index
-			if local < 0 || local >= len(job.positions) || f.Result == nil {
+			if local < 0 || local >= len(job.positions) || f.Result == nil || (reports && len(f.Report) == 0) {
 				return missing(), fmt.Errorf("worker %s: malformed result frame (index %d of %d points)",
 					workerURL, local, len(job.positions)), verdictDead
 			}
-			if got[local] != nil {
+			if got[local] {
 				continue
 			}
-			got[local] = f.Result
-			st.emit(ctx, job.positions[local], f.Result)
-		case f.ReportFor != nil:
-			// Negotiated per-job report frame for an already-delivered
-			// result. Warming and relaying are both best-effort: a
-			// malformed or orphaned frame is dropped, never fatal — the
-			// results themselves are what correctness rides on. The
-			// converse loss exists too: a worker that crashes between a
-			// result frame and its report frame leaves that point
-			// delivered-but-unwarmed (it is excluded from requeues), so
-			// the cache log can lack entries after an abrupt worker
-			// death — a later local run just re-simulates those points.
-			local := *f.ReportFor
-			if local < 0 || local >= len(job.positions) || got[local] == nil || len(f.Report) == 0 {
-				continue
-			}
+			got[local] = true
 			pos := job.positions[local]
-			if c.warmCache && c.engine != nil {
-				c.engine.PrimeProxied(st.points[pos], got[local], f.Report)
+			// Priming is best-effort, as caching is: an undecodable
+			// report skips it, and the relayed bytes stay the worker's.
+			if prime && f.Result.SetReportJSON(f.Report) == nil {
+				c.engine.Prime(st.points[pos], f.Result)
 			}
-			if wantReports {
-				st.emitReport(ctx, pos, f.Report)
+			if !wantReports {
+				f.Report = nil
 			}
+			st.emit(ctx, pos, f.Result, f.Report)
 		case f.Shutdown != nil && *f.Shutdown:
 			return missing(), fmt.Errorf("worker %s: shutting down", workerURL), verdictDead
 		case f.Done != nil && *f.Done:
@@ -612,9 +600,10 @@ func (st *fanout) closeDoneLocked() {
 	}
 }
 
-// emit relays one resolved position to the client stream, deduplicating
-// positions that a retried shard could deliver twice.
-func (st *fanout) emit(ctx context.Context, pos int, res *sdpolicy.Result) {
+// emit relays one resolved position, with its report when the campaign
+// asked for reports, to the client stream, deduplicating positions that
+// a retried shard could deliver twice.
+func (st *fanout) emit(ctx context.Context, pos int, res *sdpolicy.Result, report json.RawMessage) {
 	st.mu.Lock()
 	if st.received[pos] {
 		st.mu.Unlock()
@@ -623,23 +612,7 @@ func (st *fanout) emit(ctx context.Context, pos int, res *sdpolicy.Result) {
 	st.received[pos] = true
 	st.mu.Unlock()
 	select {
-	case st.updates <- sdpolicy.PointResult{Index: pos, Point: st.points[pos], Result: res}:
-	case <-ctx.Done():
-	}
-}
-
-// emitReport relays one negotiated report frame downstream as a
-// report-only PointResult, once per position.
-func (st *fanout) emitReport(ctx context.Context, pos int, report json.RawMessage) {
-	st.mu.Lock()
-	if !st.received[pos] || st.reported[pos] {
-		st.mu.Unlock()
-		return
-	}
-	st.reported[pos] = true
-	st.mu.Unlock()
-	select {
-	case st.updates <- sdpolicy.PointResult{Index: pos, Report: report}:
+	case st.updates <- sdpolicy.PointResult{Index: pos, Point: st.points[pos], Result: res, Report: report}:
 	case <-ctx.Done():
 	}
 }

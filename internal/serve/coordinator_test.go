@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sdpolicy"
+	"sdpolicy/internal/reducer"
 )
 
 // coordCampaignBody is a fixed-seed campaign exercising everything the
@@ -166,53 +167,139 @@ func TestCoordinatorSurvivesDeadWorker(t *testing.T) {
 	assertResultsMatch(t, runCoordinatorCampaign(t, coord.URL), coordReferenceResults(t))
 }
 
-// cutAfterFirstResult wraps a worker's ResponseWriter and kills the
-// connection right after the first streamed frame — the mid-campaign
-// worker crash.
-type cutAfterFirstResult struct {
+// cutAfter lets the first frames of a stream through, flushed so the
+// client holds them, then aborts the connection: a process dying
+// mid-stream. Every frame is one Write.
+type cutAfter struct {
 	http.ResponseWriter
-	lines int
+	frames int
 }
 
-func (c *cutAfterFirstResult) Write(p []byte) (int, error) {
+func (c *cutAfter) Write(p []byte) (int, error) {
 	n, err := c.ResponseWriter.Write(p)
-	for _, b := range p[:n] {
-		if b == '\n' {
-			c.lines++
-		}
-	}
-	if c.lines >= 1 {
+	if c.frames--; c.frames <= 0 {
+		c.Flush()
 		panic(http.ErrAbortHandler)
 	}
 	return n, err
 }
 
-func (c *cutAfterFirstResult) Flush() {
-	if fl, ok := c.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
+func (c *cutAfter) Flush() { c.ResponseWriter.(http.Flusher).Flush() }
+
+// recordingWorker is a worker that records the size of each shard
+// created on it; with cut, each of its attach streams is cut right
+// after its first frame.
+func recordingWorker(t *testing.T, cut bool) (url string, shards func() []int) {
+	t.Helper()
+	inner := New(sdpolicy.NewEngine(2, 64), 4).Handler()
+	var mu sync.Mutex
+	var sizes []int
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/campaigns":
+			body, _ := io.ReadAll(r.Body)
+			var req CreateCampaignRequest
+			json.Unmarshal(body, &req)
+			mu.Lock()
+			sizes = append(sizes, len(req.Points))
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		case cut && r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/campaigns/"):
+			w = &cutAfter{ResponseWriter: w, frames: 1}
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL, func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(sizes)
 	}
 }
 
-// TestCoordinatorSurvivesMidStreamWorkerCrash: a worker that dies after
-// delivering part of its shard is retired, the already-delivered
-// results are not duplicated, and the unresolved remainder completes on
-// the survivors — output still identical to a local run.
+func sum(ns []int) (total int) {
+	for _, n := range ns {
+		total += n
+	}
+	return total
+}
+
+// TestCoordinatorSurvivesMidStreamWorkerCrash: a worker whose stream
+// dies after one result keeps that result in the campaign; a shard cut
+// with points unresolved retires the worker, and the remainder
+// completes on the survivors — output still identical to a local run.
 func TestCoordinatorSurvivesMidStreamWorkerCrash(t *testing.T) {
-	urls := startWorkers(t, 2)
-	flakyInner := New(sdpolicy.NewEngine(2, 64), 4).Handler()
-	var flakyShards atomic.Int64
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/campaigns/") {
-			flakyShards.Add(1)
-			w = &cutAfterFirstResult{ResponseWriter: w}
-		}
-		flakyInner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(flaky.Close)
-	coord := startCoordinator(t, append(urls, flaky.URL))
+	a, aShards := recordingWorker(t, false)
+	b, bShards := recordingWorker(t, false)
+	flaky, flakyShards := recordingWorker(t, true)
+	// One shard per worker, of 3, 2 and 1 points. Listed first, the cut
+	// worker usually takes the longest.
+	coord, _ := startCoordinatorCfg(t, CoordinatorConfig{
+		Workers:         []string{flaky, a, b},
+		ShardsPerWorker: 1,
+		ProbeInterval:   time.Hour,
+	})
 	assertResultsMatch(t, runCoordinatorCampaign(t, coord.URL), coordReferenceResults(t))
-	if flakyShards.Load() != 1 {
-		t.Fatalf("crashed worker streamed %d shards, want exactly 1 (marked dead after the crash)", flakyShards.Load())
+	// Each cut shard delivered its first result. A one-point shard is
+	// then complete and the worker steals on; a longer one retires it,
+	// so only its last shard may be longer.
+	cut := flakyShards()
+	if len(cut) == 0 {
+		t.Fatal("the cut worker got no shard")
+	}
+	if slices.ContainsFunc(cut[:len(cut)-1], func(n int) bool { return n != 1 }) {
+		t.Fatalf("cut worker's shard sizes %v: it stole on after a cut left points unresolved", cut)
+	}
+	// The survivors got only the points the cut worker did not deliver.
+	if got, want := sum(aShards())+sum(bShards()), 6-len(cut); got != want {
+		t.Fatalf("survivors got %d points, want %d: results the cut worker delivered were dispatched again", got, want)
+	}
+}
+
+// TestCoordinatorKeepsReportsThroughCut: behind a coordinator, one
+// worker's streams are cut right after their first frame. Every point
+// still arrives with its per-job report: in a report campaign each
+// result frame carries a report that restores Daily, and big_workload,
+// whose summary needs the reports, matches the local summary bytes.
+func TestCoordinatorKeepsReportsThroughCut(t *testing.T) {
+	healthy, _ := recordingWorker(t, false)
+	flaky, flakyShards := recordingWorker(t, true)
+	coord := startCoordinator(t, []string{flaky, healthy})
+
+	t.Run("reports", func(t *testing.T) {
+		body := strings.Replace(coordCampaignBody, `"points":[`, `"reports":true,"points":[`, 1)
+		frames := campaignFrames(t, coord.URL, "", body)
+		if last := frames[len(frames)-1]; !last.done() || len(frames) != 7 {
+			t.Fatalf("%d frames ending in %+v, want 6 results and done", len(frames), last)
+		}
+		results := make([]*sdpolicy.Result, 6)
+		for _, f := range frames[:6] {
+			if f.Index == nil || f.Result == nil {
+				t.Fatalf("frame %+v is not a result", f)
+			}
+			if err := f.Result.SetReportJSON(f.Report); err != nil {
+				t.Fatalf("index %d: report %q does not decode: %v", *f.Index, f.Report, err)
+			}
+			if len(f.Result.Daily()) == 0 {
+				t.Fatalf("index %d: the report has no daily rows", *f.Index)
+			}
+			results[*f.Index] = f.Result
+		}
+		assertResultsMatch(t, results, coordReferenceResults(t))
+	})
+	t.Run("big_workload", func(t *testing.T) {
+		tc := experimentGoldenCase{"big_workload", reducer.Params{"scale": 0.02}}
+		want := goldenSummaryBytes(t, sdpolicy.NewEngine(4, 256), tc)
+		got, err := RunRemoteExperiment(context.Background(), nil, []string{coord.URL}, tc.name, tc.params, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("summary differs:\ncoordinator %s\nlocal       %s", got, want)
+		}
+	})
+	if len(flakyShards()) == 0 {
+		t.Fatal("the cut worker got no shard")
 	}
 }
 
@@ -334,13 +421,15 @@ func TestCoordinatorCancelPropagatesToShards(t *testing.T) {
 }
 
 // FuzzShardStream serves arbitrary bytes as a worker's attach stream to
-// runShard for a shard of three positions. runShard must not panic; it
-// may emit only the shard's positions, each at most once; the remainder
-// it returns plus the positions it emitted must be the whole shard; and
-// it may return verdictOK only after a done frame, with every position
-// delivered. The seeds are a clean stream, a torn last line, a
-// duplicate index, an out-of-range index, a report frame before its
-// result and a shutdown frame.
+// runShard for a shard of three positions of a report campaign.
+// runShard must not panic; it may emit only the shard's positions, each
+// at most once and with its report; the remainder it returns plus the
+// positions it emitted must be the whole shard; and it may return
+// verdictOK only after a done frame, with every position delivered. The
+// seeds are a clean stream, a torn last line, a duplicate index, an
+// out-of-range index, results with their reports and a shutdown frame;
+// all but the report seed lack reports, so their first result is
+// malformed.
 func FuzzShardStream(f *testing.F) {
 	shard := []int{1, 3, 4}
 	// One fake worker serves every input, as a fuzz process runs its
@@ -369,9 +458,8 @@ func FuzzShardStream(f *testing.F) {
 		stream.Store(&body)
 		attached.Store(false)
 		updates := make(chan sdpolicy.PointResult, len(shard))
-		st := &fanout{points: make([]sdpolicy.Point, 5), updates: updates,
-			received: make([]bool, 5), reported: make([]bool, 5)}
-		rem, err, verdict := c.runShard(context.Background(), worker.URL, shardJob{positions: shard}, st, false)
+		st := &fanout{points: make([]sdpolicy.Point, 5), updates: updates, received: make([]bool, 5)}
+		rem, err, verdict := c.runShard(context.Background(), worker.URL, shardJob{positions: shard}, st, true)
 		close(updates)
 		if !attached.Load() {
 			t.Fatalf("runShard never attached to the stream: %v", err)
@@ -380,6 +468,9 @@ func FuzzShardStream(f *testing.F) {
 		for u := range updates {
 			if !slices.Contains(shard, u.Index) || emitted[u.Index] {
 				t.Fatalf("emitted position %d outside shard %v or twice", u.Index, shard)
+			}
+			if len(u.Report) == 0 {
+				t.Fatalf("emitted position %d without its report", u.Index)
 			}
 			emitted[u.Index] = true
 		}

@@ -17,10 +17,10 @@ import (
 // Integration coverage for the elastic-fleet behaviours: health-probed
 // rotation, dynamic registration (including mid-campaign joiners
 // stealing queued shards), transient-status requeues, heartbeat-lease
-// lifecycle, and coordinator-side cache warming over the negotiated
-// per-job report frames. The PR 4 static-fleet semantics keep their
-// own tests in coordinator_test.go (probing effectively disabled
-// there); here probe intervals are tens of milliseconds.
+// lifecycle, and coordinator-side cache warming from the per-job
+// reports in result frames. The static-fleet semantics keep their own
+// tests in coordinator_test.go (probing effectively disabled there);
+// here probe intervals are tens of milliseconds.
 
 const shortProbe = 20 * time.Millisecond
 
@@ -366,10 +366,10 @@ func TestHeartbeatLeaseExpiryDropsWorker(t *testing.T) {
 	waitPeerCount(t, coord.URL, 0)
 }
 
-// TestWorkerReportFrames: the reports create option adds one report
-// frame per result on a plain worker stream, and its payload restores a
-// Result whose per-job report works (Daily has rows); without the
-// option the stream carries no report frames.
+// TestWorkerReportFrames: the reports create option puts each point's
+// per-job report in its result frame on a plain worker stream, and the
+// report restores a Result whose per-job report works (Daily has rows);
+// without the option result frames carry no report.
 func TestWorkerReportFrames(t *testing.T) {
 	srv := testServer(t)
 	const points = `"points":[
@@ -377,51 +377,42 @@ func TestWorkerReportFrames(t *testing.T) {
 		{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"sd","max_slowdown":10}}
 	]`
 	lines := campaignFrames(t, srv.URL, "", `{`+points+`,"reports":true}`)
-	var results, reports int
-	for _, l := range lines {
-		switch {
-		case l.Index != nil:
-			results++
-		case l.ReportFor != nil:
-			reports++
-			if len(l.Report) == 0 {
-				t.Fatalf("empty report frame: %+v", l)
-			}
-			var res sdpolicy.Result
-			if err := res.SetReportJSON(l.Report); err != nil {
-				t.Fatalf("report frame does not decode: %v", err)
-			}
-			if len(res.Daily()) == 0 {
-				t.Fatal("restored report has no daily rows")
-			}
-		}
+	if len(lines) != 3 {
+		t.Fatalf("%d frames, want 2 results and done", len(lines))
 	}
-	if results != 2 || reports != 2 {
-		t.Fatalf("%d results, %d report frames; want 2 and 2", results, reports)
+	for _, l := range lines[:2] {
+		if l.Index == nil || l.Result == nil {
+			t.Fatalf("frame %+v is not a result", l)
+		}
+		if err := l.Result.SetReportJSON(l.Report); err != nil {
+			t.Fatalf("report %q does not decode: %v", l.Report, err)
+		}
+		if len(l.Result.Daily()) == 0 {
+			t.Fatal("restored report has no daily rows")
+		}
 	}
 	if last := lines[len(lines)-1]; !last.done() || last.Points != 2 {
 		t.Fatalf("terminal frame %+v", last)
 	}
 
 	for _, l := range campaignFrames(t, srv.URL, "", `{`+points+`}`) {
-		if l.ReportFor != nil {
-			t.Fatalf("unsolicited report frame: %+v", l)
+		if l.Report != nil {
+			t.Fatalf("unsolicited report: %+v", l)
 		}
 	}
 }
 
-// TestCoordinatorWarmCacheSpill is the cache-warming acceptance test:
-// a WarmCache coordinator primes its local engine with every result
-// proxied from the workers — reports included, via the negotiated wire
+// TestCoordinatorSpillsToCacheDir is the cache-warming acceptance test:
+// a coordinator whose engine persists its cache primes it with every
+// result proxied from the workers — report included, from the result
 // frame — and appends each to its cache log as it arrives, so the
 // directory warms a fresh local engine to zero misses with
 // byte-identical results. The log is read before the coordinator
 // closes it, as after a kill -9.
-func TestCoordinatorWarmCacheSpill(t *testing.T) {
+func TestCoordinatorSpillsToCacheDir(t *testing.T) {
 	coord, s := startCoordinatorCfg(t, CoordinatorConfig{
 		Workers:       startWorkers(t, 2),
 		ProbeInterval: time.Hour,
-		WarmCache:     true,
 	})
 	dir := t.TempDir()
 	_, closeLog, err := s.engine.PersistCache(dir)
@@ -469,11 +460,12 @@ func TestCoordinatorWarmCacheSpill(t *testing.T) {
 }
 
 // TestRemoteCampaignWarmsLocalCache drives the sdexp -server
-// -cache-dir path through a coordinator: RunDurableCampaign with report
-// frames, Engine.PrimeProxied per frame into an engine persisting to a
-// cache directory, then a local replay with zero misses — proving the
-// frames relay through the coordinator, not just off a single worker.
-// A repeated remote run into the same directory appends nothing.
+// -cache-dir path through a coordinator: RunDurableCampaign with
+// reports, each result's report attached and the result primed into an
+// engine persisting to a cache directory, then a local replay with zero
+// misses — proving the reports relay through the coordinator, not just
+// off a single worker. A repeated remote run into the same directory
+// appends nothing.
 func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 	coord, _ := startCoordinatorCfg(t, CoordinatorConfig{
 		Workers:       startWorkers(t, 2),
@@ -494,24 +486,20 @@ func TestRemoteCampaignWarmsLocalCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make(map[int]*sdpolicy.Result, len(points))
+		delivered := 0
 		err = RunDurableCampaign(context.Background(), nil, []string{coord.URL}, points, true,
 			func(index int, res *sdpolicy.Result, report json.RawMessage) error {
-				if res != nil {
-					got[index] = res
-					return nil
+				delivered++
+				if err := res.SetReportJSON(report); err != nil {
+					return err
 				}
-				prev := got[index]
-				if prev == nil {
-					t.Fatalf("report frame for undelivered index %d", index)
-				}
-				return local.PrimeProxied(points[index], prev, report)
+				return local.Prime(points[index], res)
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(points) {
-			t.Fatalf("%d results, want %d", len(got), len(points))
+		if delivered != len(points) {
+			t.Fatalf("%d results, want %d", delivered, len(points))
 		}
 		if appended, err := closeLog(); err != nil || appended != wantAppended {
 			t.Fatalf("run %d appended %d entries (err %v), want %d", run, appended, err, wantAppended)

@@ -46,7 +46,7 @@ type ExperimentInfo struct {
 	Title       string `json:"title,omitempty"`
 	Description string `json:"description,omitempty"`
 	// Reports marks experiments whose reduction needs per-job reports;
-	// their campaigns negotiate report frames from the worker fleet.
+	// their campaigns carry one in every result frame.
 	Reports bool                `json:"reports,omitempty"`
 	Params  []reducer.ParamSpec `json:"params"`
 }
@@ -274,15 +274,15 @@ func (es *expStream) fail(err error) {
 func (es *expStream) fold(f frame) bool {
 	switch f.event {
 	case journal.KindResult:
-		var v struct {
-			Index  int              `json:"index"`
-			Result *sdpolicy.Result `json:"result"`
+		v, err := resultFrame(f.data)
+		if err == nil && len(v.Report) > 0 {
+			err = v.Result.SetReportJSON(v.Report)
 		}
-		if err := json.Unmarshal(f.data, &v); err != nil {
+		if err != nil {
 			es.fail(fmt.Errorf("result frame %d: %w", f.seq, err))
 			return true
 		}
-		rows, err := es.inst.Fold(v.Index, v.Result)
+		rows, err := es.inst.Fold(*v.Index, v.Result)
 		if err != nil {
 			es.fail(err)
 			return true
@@ -295,23 +295,6 @@ func (es *expStream) fold(f frame) bool {
 					Row any    `json:"row"`
 				}{seq, r}
 			}, false)
-		}
-	case journal.KindReport:
-		rf, ok := es.inst.(reducer.ReportFolder)
-		if !ok {
-			return false
-		}
-		var v struct {
-			ReportFor int             `json:"report_for"`
-			Report    json.RawMessage `json:"report"`
-		}
-		if err := json.Unmarshal(f.data, &v); err != nil {
-			es.fail(fmt.Errorf("report frame %d: %w", f.seq, err))
-			return true
-		}
-		if err := rf.FoldReport(v.ReportFor, v.Report); err != nil {
-			es.fail(err)
-			return true
 		}
 	case journal.KindDone:
 		summary, err := es.inst.Summary()

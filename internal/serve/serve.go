@@ -17,7 +17,9 @@
 //	DELETE /v1/experiments/{id}   cancel the experiment's campaign
 //	POST /v1/campaigns            create a campaign resource -> 201 +
 //	                              Location; runs detached from any client
-//	                              (reports/trace options add frames)
+//	                              ("reports" puts each point's per-job
+//	                              report in its result frame, "trace"
+//	                              adds a trace frame)
 //	GET  /v1/campaigns/{id}       attach to (or resume, ?from=<seq>) the
 //	                              campaign's stream (SSE or NDJSON)
 //	GET  /v1/campaigns/{id}/status  compact JSON progress
@@ -131,11 +133,6 @@ type CoordinatorConfig struct {
 	// workers (default 30s); a worker that stops renewing is dropped
 	// once its lease expires.
 	LeaseTTL time.Duration
-	// WarmCache negotiates per-job report frames from the workers and
-	// primes the coordinator's local engine cache with every proxied
-	// result, which Engine.PersistCache (sdserve -cache-dir) appends to
-	// disk, warming later local runs — fig4-9 style analyses included.
-	WarmCache bool
 }
 
 // EnableCoordinator switches campaigns (and the experiments built on

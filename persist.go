@@ -232,10 +232,9 @@ func createCacheLog(j *journal.Journal) (*journal.Writer, error) {
 
 // ReportJSON encodes the result's per-job report — the payload behind
 // Daily and the heatmap analyses, which the Result's public JSON
-// deliberately omits. It backs the negotiated report frame of the
-// campaign wire form: a worker attaches the encoding to its stream so
-// a coordinator (or sdexp -server -cache-dir) can reconstruct fully
-// cacheable results from proxied simulations.
+// deliberately omits. It backs the "report" key of a report campaign's
+// result frames, from which a coordinator (or sdexp -server -cache-dir)
+// reconstructs fully cacheable results from proxied simulations.
 func (r *Result) ReportJSON() ([]byte, error) {
 	return json.Marshal(r.report)
 }
@@ -249,14 +248,14 @@ func (r *Result) SetReportJSON(data []byte) error {
 }
 
 // Prime inserts an externally computed result for p into the engine's
-// result cache without simulating — the coordinator's path for warming
-// a local cache from results proxied over the campaign wire form. The
-// point is validated and canonicalised exactly as Run would, so a
-// later campaign over the same point (in any spelling) is a cache hit.
-// Priming an engine whose cache is disabled is a no-op. With
-// PersistCache on, the result is also appended to the cache log, so it
-// should carry its per-job report (SetReportJSON) first; a report-less
-// result still serves campaign hits but persists an empty report.
+// result cache without simulating — the path for warming a local cache
+// from results proxied over the campaign wire form. The point is
+// validated and canonicalised exactly as Run would, so a later campaign
+// over the same point (in any spelling) is a cache hit. Priming an
+// engine whose cache is disabled is a no-op. With PersistCache on, the
+// result is also appended to the cache log, so it should carry its
+// per-job report (SetReportJSON) first; a report-less result still
+// serves campaign hits but persists an empty report.
 func (e *Engine) Prime(p Point, res *Result) error {
 	if res == nil {
 		return fmt.Errorf("sdpolicy: priming a nil result: %w", ErrBadInput)
@@ -272,24 +271,9 @@ func (e *Engine) Prime(p Point, res *Result) error {
 	return nil
 }
 
-// PrimeProxied caches a result that arrived over the campaign wire
-// form — a result line plus its negotiated report frame — cloning res
-// before attaching the report, because the streamed pointer is shared
-// with whatever relay or printer path delivered it to the caller. This
-// is the one place the clone-before-attach invariant lives; the
-// coordinator's fan-out and sdexp -server both warm through it. Like
-// the frames themselves it is best-effort: an undecodable report
-// simply skips priming, only an invalid point is an error.
-func (e *Engine) PrimeProxied(p Point, res *Result, report []byte) error {
-	if res == nil {
-		return fmt.Errorf("sdpolicy: priming a nil result: %w", ErrBadInput)
-	}
-	clone := *res
-	if clone.SetReportJSON(report) != nil {
-		return nil
-	}
-	return e.Prime(p, &clone)
-}
+// PersistsCache reports whether PersistCache made a directory the
+// engine's result store, so results primed into it reach disk.
+func (e *Engine) PersistsCache() bool { return e.store.Load() != nil }
 
 // conflictDescription is the one logged-discrepancy line for a
 // canonical point whose cache logs carried differing payloads.

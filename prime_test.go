@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestPrimeFromWireResultRoundTrips is the report-frame contract at
-// the API level: a Result that crossed the wire (public JSON only),
+// TestPrimeFromWireResultRoundTrips is the result frame's report
+// contract at the API level: a Result that crossed the wire (public JSON only),
 // restored with SetReportJSON and primed into a second engine, must
 // serve the same campaign point as a pure cache hit with byte-equal
 // output — and survive a PersistCache round trip with its per-job
@@ -28,7 +28,7 @@ func TestPrimeFromWireResultRoundTrips(t *testing.T) {
 	}
 
 	// Cross the wire: marshal/unmarshal keeps only public fields, the
-	// report frame carries the rest.
+	// frame's "report" key carries the rest.
 	wire, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
