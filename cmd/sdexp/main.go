@@ -196,7 +196,7 @@ func main() {
 	switch {
 	case err != nil:
 	case *points != "":
-		err = runner.runPoints(*points, *shard, *server, closeCache != nil)
+		err = runner.runPoints(*points, *shard, *server)
 	case *experiment != "":
 		err = runner.runExperiment(*experiment, *server)
 	case *exp == "none":
@@ -289,11 +289,11 @@ func emitCacheStatsJSON(w io.Writer) {
 // shard outputs interleave by index into exactly the full run's bytes.
 // With serverURL, the campaign executes on a remote sdserve instance
 // (worker or coordinator) and the stream is re-ordered locally — same
-// bytes, remote cycles. With warm, the remote campaign's result frames
-// also carry their per-job reports, and every proxied result primes the
-// local engine cache, which -cache-dir appends to its log so later
+// bytes, remote cycles. With -cache-dir, the remote campaign's result
+// frames also carry their per-job reports, and every proxied result
+// primes the local engine cache, which appends it to its log so later
 // local runs are warm.
-func (r *runner) runPoints(path, shardSpec, serverURL string, warm bool) error {
+func (r *runner) runPoints(path, shardSpec, serverURL string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -341,7 +341,7 @@ func (r *runner) runPoints(path, shardSpec, serverURL string, warm bool) error {
 	updates := make(chan sdpolicy.PointResult, len(points))
 	errc := make(chan error, 1)
 	if serverURL != "" {
-		go func() { errc <- streamFromServer(r.ctx, serverURL, r.engine, points, warm, updates) }()
+		go func() { errc <- streamFromServer(r.ctx, serverURL, r.engine, points, updates) }()
 	} else {
 		go func() {
 			_, err := r.engine.RunStream(r.ctx, points, updates)
@@ -392,11 +392,12 @@ func parseShard(spec string) (index, of int, err error) {
 // updates closes before returning, and the first error aborts. The
 // durable client reattaches with its ?from= cursor on mid-stream
 // disconnects, server restarts and coordinator failovers, so those are
-// invisible here beyond latency. With warm, the campaign asks for
-// per-job reports, and every proxied result is primed — report attached
-// — into engine's cache, which appends it to the -cache-dir log.
-func streamFromServer(ctx context.Context, serverList string, engine *sdpolicy.Engine, points []sdpolicy.Point, warm bool, updates chan<- sdpolicy.PointResult) error {
+// invisible here beyond latency. When engine persists its cache, the
+// campaign asks for per-job reports, and each proxied result is primed,
+// report attached, into that cache, which appends it to its log.
+func streamFromServer(ctx context.Context, serverList string, engine *sdpolicy.Engine, points []sdpolicy.Point, updates chan<- sdpolicy.PointResult) error {
 	defer close(updates)
+	warm := engine.PersistsCache()
 	var bases []string
 	for _, b := range strings.Split(serverList, ",") {
 		if b = strings.TrimSpace(b); b != "" {

@@ -421,15 +421,17 @@ func TestCoordinatorCancelPropagatesToShards(t *testing.T) {
 }
 
 // FuzzShardStream serves arbitrary bytes as a worker's attach stream to
-// runShard for a shard of three positions of a report campaign.
-// runShard must not panic; it may emit only the shard's positions, each
-// at most once and with its report; the remainder it returns plus the
-// positions it emitted must be the whole shard; and it may return
-// verdictOK only after a done frame, with every position delivered. The
-// seeds are a clean stream, a torn last line, a duplicate index, an
-// out-of-range index, results with their reports and a shutdown frame;
-// all but the report seed lack reports, so their first result is
-// malformed.
+// runShard for a shard of three positions, once for a campaign without
+// reports and once for a report campaign. runShard must not panic; it
+// may emit only the shard's positions, each at most once, with a report
+// exactly when the campaign asks for reports; the remainder it returns
+// plus the positions it emitted must be the whole shard; and it may
+// return verdictOK only after a done frame, with every position
+// delivered. The seeds are a clean stream, a torn last line, a
+// duplicate index, an out-of-range index and a shutdown frame, all
+// without reports (a report campaign finds their first result
+// malformed), and results with their reports (a campaign without
+// reports drops them).
 func FuzzShardStream(f *testing.F) {
 	shard := []int{1, 3, 4}
 	// One fake worker serves every input, as a fuzz process runs its
@@ -456,33 +458,35 @@ func FuzzShardStream(f *testing.F) {
 		// this input returns, when the engine reuses data.
 		body := bytes.Clone(data)
 		stream.Store(&body)
-		attached.Store(false)
-		updates := make(chan sdpolicy.PointResult, len(shard))
-		st := &fanout{points: make([]sdpolicy.Point, 5), updates: updates, received: make([]bool, 5)}
-		rem, err, verdict := c.runShard(context.Background(), worker.URL, shardJob{positions: shard}, st, true)
-		close(updates)
-		if !attached.Load() {
-			t.Fatalf("runShard never attached to the stream: %v", err)
-		}
-		emitted := make(map[int]bool)
-		for u := range updates {
-			if !slices.Contains(shard, u.Index) || emitted[u.Index] {
-				t.Fatalf("emitted position %d outside shard %v or twice", u.Index, shard)
+		for _, wantReports := range []bool{false, true} {
+			attached.Store(false)
+			updates := make(chan sdpolicy.PointResult, len(shard))
+			st := &fanout{points: make([]sdpolicy.Point, 5), updates: updates, received: make([]bool, 5)}
+			rem, err, verdict := c.runShard(context.Background(), worker.URL, shardJob{positions: shard}, st, wantReports)
+			close(updates)
+			if !attached.Load() {
+				t.Fatalf("reports %v: runShard never attached to the stream: %v", wantReports, err)
 			}
-			if len(u.Report) == 0 {
-				t.Fatalf("emitted position %d without its report", u.Index)
+			emitted := make(map[int]bool)
+			for u := range updates {
+				if !slices.Contains(shard, u.Index) || emitted[u.Index] {
+					t.Fatalf("reports %v: emitted position %d outside shard %v or twice", wantReports, u.Index, shard)
+				}
+				if (len(u.Report) != 0) != wantReports {
+					t.Fatalf("reports %v: emitted position %d with report %q", wantReports, u.Index, u.Report)
+				}
+				emitted[u.Index] = true
 			}
-			emitted[u.Index] = true
-		}
-		whole := slices.Clone(rem.positions)
-		for pos := range emitted {
-			whole = append(whole, pos)
-		}
-		if slices.Sort(whole); !slices.Equal(whole, shard) {
-			t.Fatalf("remainder %v plus emitted %v is not shard %v", rem.positions, emitted, shard)
-		}
-		if verdict == verdictOK && (err != nil || len(emitted) != len(shard) || !holdsDone(data)) {
-			t.Fatalf("verdictOK (err %v) with %d of %d positions emitted", err, len(emitted), len(shard))
+			whole := slices.Clone(rem.positions)
+			for pos := range emitted {
+				whole = append(whole, pos)
+			}
+			if slices.Sort(whole); !slices.Equal(whole, shard) {
+				t.Fatalf("reports %v: remainder %v plus emitted %v is not shard %v", wantReports, rem.positions, emitted, shard)
+			}
+			if verdict == verdictOK && (err != nil || len(emitted) != len(shard) || !holdsDone(data)) {
+				t.Fatalf("reports %v: verdictOK (err %v) with %d of %d positions emitted", wantReports, err, len(emitted), len(shard))
+			}
 		}
 	})
 }
