@@ -265,6 +265,7 @@ func NewEngine(workers, cacheSize int) *Engine {
 			return nil, fmt.Errorf("%s (scale %g, seed %d, %s): %w",
 				p.Workload, p.Scale, p.Seed, p.Options.Policy, err)
 		}
+		res.encode()
 		if log := e.store.Load(); log != nil {
 			log.append(p, res)
 		}

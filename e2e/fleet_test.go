@@ -43,6 +43,7 @@ func slow24(first int) string {
 // processes. Every subtest fails within its own deadline if a campaign
 // hangs or a fault misses the campaign it was aimed at.
 func TestFleet(t *testing.T) {
+	openSources(t)
 	t.Run("determinism", determinism)
 	t.Run("distributed", distributed)
 	t.Run("elasticity", elasticity)

@@ -1,11 +1,13 @@
 //go:build linux
 
 // Package e2e drives the sdserve fleet as real processes. TestMain
-// builds cmd/sdserve and cmd/sdexp once; each TestFleet subtest starts
-// its own loopback fleet, injects its fault once the state it waits for
-// is observable, and byte-diffs the client output against a
-// single-process run. Every child dies with the test: cleanup stops it,
-// and Pdeathsig kills it if the test binary is cut off first.
+// builds cmd/sdserve and cmd/sdexp once, and every test opens the
+// module's sources (openSources) so that go test reruns the package
+// when they change. Each TestFleet subtest starts its own loopback
+// fleet, injects its fault once the state it waits for is observable,
+// and byte-diffs the client output against a single-process run. Every
+// child dies with the test: cleanup stops it, and Pdeathsig kills it
+// if the test binary is cut off first.
 package e2e
 
 import (
@@ -15,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -50,6 +53,34 @@ func TestMain(m *testing.M) {
 	}
 	os.RemoveAll(dir)
 	os.Exit(code)
+}
+
+// openSources opens every Go source file and the go.mod of the module.
+// go test caches a package's result keyed by the files its tests open,
+// and TestMain builds the binaries in a child process the cache does
+// not see, so without this walk an edit to the program would leave the
+// byte-diffs "(cached)". testing records opens only once m.Run has
+// started, which is why the tests call it and TestMain does not.
+func openSources(t *testing.T) {
+	t.Helper()
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != ".." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !(strings.HasSuffix(path, ".go") || d.Name() == "go.mod"):
+			return nil
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		return f.Close()
+	})
+	if err != nil {
+		t.Fatalf("opening the module's sources: %v", err)
+	}
 }
 
 // env is one scenario's sandbox: a directory for its files and child
@@ -409,6 +440,7 @@ func journaledResults(dir string) (int, error) {
 // TestLauncherStopsChildren checks the cleanup every scenario relies
 // on: once a test's cleanup has run, the sdserve it started is gone.
 func TestLauncherStopsChildren(t *testing.T) {
+	openSources(t)
 	var pid int
 	t.Run("fleet", func(t *testing.T) {
 		e := newEnv(t)

@@ -44,6 +44,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -149,8 +150,9 @@ func (j *Journal) List() ([]string, error) {
 }
 
 // Create starts a new campaign journal, writing its create record
-// (seq 0) with the given payload. It fails with ErrExists if the
-// campaign already has a journal — creation is the duplicate check.
+// (seq 0) with the given payload, under Append's rules for data. It
+// fails with ErrExists if the campaign already has a journal —
+// creation is the duplicate check.
 func (j *Journal) Create(id string, create json.RawMessage) (*Writer, error) {
 	if err := ValidateID(id); err != nil {
 		return nil, err
@@ -163,7 +165,7 @@ func (j *Journal) Create(id string, create json.RawMessage) (*Writer, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	w := &Writer{f: f, id: id}
-	if err := w.write(Record{Seq: 0, Kind: KindCreate, Data: create}); err != nil {
+	if err := w.write(0, KindCreate, create); err != nil {
 		f.Close()
 		os.Remove(j.path(id))
 		return nil, err
@@ -282,32 +284,49 @@ func (w *Writer) Seq() uint64 {
 // Append journals one stream frame. The caller assigns seq (it is
 // embedded in the frame bytes, which must replay exactly); Append
 // enforces that the sequence stays contiguous.
+//
+// The record line is {"seq":N,"kind":K,"data":D} written around the
+// caller's bytes, which are not re-encoded: data must be one line of
+// valid JSON, and Append refuses anything else. For data as
+// json.Marshal writes it (compact, HTML-escaped), the line equals
+// json.Marshal of the Record; empty data is left out, as omitempty
+// leaves it out.
 func (w *Writer) Append(seq uint64, kind string, data json.RawMessage) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if seq != w.seq+1 {
 		return fmt.Errorf("journal: %s: appending seq %d after %d", w.id, seq, w.seq)
 	}
-	return w.writeLocked(Record{Seq: seq, Kind: kind, Data: data})
+	return w.writeLocked(seq, kind, data)
 }
 
-func (w *Writer) write(rec Record) error {
+func (w *Writer) write(seq uint64, kind string, data []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.writeLocked(rec)
+	return w.writeLocked(seq, kind, data)
 }
 
-func (w *Writer) writeLocked(rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: %s: %w", w.id, err)
+func (w *Writer) writeLocked(seq uint64, kind string, data []byte) error {
+	if len(data) > 0 && (bytes.IndexByte(data, '\n') >= 0 || !json.Valid(data)) {
+		return fmt.Errorf("journal: %s: record %d: data is not one line of valid JSON", w.id, seq)
 	}
+	quoted, _ := json.Marshal(kind) // a string always encodes
+	line := make([]byte, 0, 64+len(quoted)+len(data))
+	line = append(line, `{"seq":`...)
+	line = strconv.AppendUint(line, seq, 10)
+	line = append(line, `,"kind":`...)
+	line = append(line, quoted...)
+	if len(data) > 0 {
+		line = append(line, `,"data":`...)
+		line = append(line, data...)
+	}
+	line = append(line, "}\n"...)
 	// One write call per record: a crash tears at most the final line,
 	// which Read/Reopen discard.
-	if _, err := w.f.Write(append(line, '\n')); err != nil {
+	if _, err := w.f.Write(line); err != nil {
 		return fmt.Errorf("journal: %s: %w", w.id, err)
 	}
-	w.seq = rec.Seq
+	w.seq = seq
 	return nil
 }
 

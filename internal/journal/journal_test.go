@@ -21,6 +21,74 @@ func mustCreate(t *testing.T, j *Journal, id string) *Writer {
 	return w
 }
 
+// TestWriterContract: Append writes {"seq","kind","data"} around the
+// caller's bytes. For data as json.Marshal writes it, the line is
+// json.Marshal of the Record and a newline, and empty data is left out
+// as omitempty left it out. Data that is not valid JSON, or that holds
+// a newline, is refused, and the journal is left as it was.
+func TestWriterContract(t *testing.T) {
+	for _, tc := range []struct {
+		name, kind, data string
+		ok               bool
+	}{
+		{"frame", KindResult, `{"seq":1,"index":0,"point":{"workload":"wl1"},"result":{"avg_slowdown":1.5e-7}}`, true},
+		{"escaped", KindError, `{"seq":1,"error":{"message":"\u003cb\u003e \u0026 \"q\" \u2028"}}`, true},
+		{"scalar", KindDone, `true`, true},
+		{"empty", KindDone, ``, true},
+		{"kind to escape", `odd "kind" <x>`, `{}`, true},
+		{"torn", KindResult, `{"seq":1,`, false},
+		{"trailing bytes", KindResult, `{"seq":1} x`, false},
+		{"two values", KindResult, `{} {}`, false},
+		{"newline", KindResult, "{\"seq\":1,\n\"index\":0}", false},
+		{"trailing newline", KindResult, "{}\n", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := mustCreate(t, j, "c")
+			defer w.Close()
+			path := filepath.Join(j.Dir(), "c"+journalExt)
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = w.Append(1, tc.kind, json.RawMessage(tc.data))
+			after, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if !tc.ok {
+				if err == nil || w.Seq() != 0 || string(after) != string(before) {
+					t.Fatalf("data %q: err %v, seq %d, wrote %q; want it refused", tc.data, err, w.Seq(), after[len(before):])
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(Record{Seq: 1, Kind: tc.kind, Data: json.RawMessage(tc.data)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := string(after[len(before):]); got != string(want)+"\n" {
+				t.Fatalf("wrote %q, want %q", got, want)
+			}
+		})
+	}
+	j, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Create("bad", json.RawMessage("{\n}")); err == nil {
+		t.Fatal("a create record holding a newline was accepted")
+	}
+	if ids, err := j.List(); err != nil || len(ids) != 0 {
+		t.Fatalf("a refused create left journals %v (%v)", ids, err)
+	}
+}
+
 func TestCreateAppendReadRoundTrip(t *testing.T) {
 	j, err := Open(t.TempDir())
 	if err != nil {

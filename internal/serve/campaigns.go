@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -113,8 +115,12 @@ func terminalEvent(event string) bool { return journal.TerminalKind(event) }
 // exactly one goroutine (the campaign runner), while any number of
 // attached streams read them.
 type campaignState struct {
-	id      string
-	points  []sdpolicy.Point
+	id     string
+	points []sdpolicy.Point
+	// wire holds each point's JSON encoding, made once when the state is
+	// built; result frames, shard bodies and the journal create record
+	// splice these bytes instead of encoding the point again.
+	wire    [][]byte
 	reports bool
 	trace   bool
 	// experiment, when non-empty, names the registry experiment this
@@ -140,15 +146,41 @@ type campaignState struct {
 	w *journal.Writer
 }
 
-func newCampaignState(id string, points []sdpolicy.Point, reports, trace bool) *campaignState {
+func newCampaignState(id string, points []sdpolicy.Point, reports, trace bool) (*campaignState, error) {
+	wire := make([][]byte, len(points))
+	for i, p := range points {
+		// MarshalJSON's bytes are json.Marshal's, without its second
+		// pass to compact them.
+		var err error
+		if wire[i], err = p.MarshalJSON(); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
+	}
 	return &campaignState{
 		id:      id,
 		points:  points,
+		wire:    wire,
 		reports: reports,
 		trace:   trace,
 		state:   campaignRunning,
 		wake:    make(chan struct{}),
+	}, nil
+}
+
+// pointsObject is the JSON object {"points":[...],...}: the encoded
+// points spliced in, then the fields json.Marshal writes for rest. It
+// equals json.Marshal of a struct whose first field is the points
+// under "points" and whose other fields are rest's.
+func pointsObject(wire [][]byte, rest any) ([]byte, error) {
+	tail, err := json.Marshal(rest)
+	if err != nil {
+		return nil, err
 	}
+	b := append([]byte(`{"points":[`), bytes.Join(wire, []byte(","))...)
+	if len(tail) == len("{}") {
+		return append(b, "]}"...), nil
+	}
+	return append(append(b, "],"...), tail[1:]...), nil
 }
 
 func (cs *campaignState) statusLocked() CampaignStatus {
@@ -380,7 +412,9 @@ func (s *Server) recoverCampaign(id string) (cs *campaignState, remaining []int,
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
-	cs = newCampaignState(id, points, req.Reports, req.Trace)
+	if cs, err = newCampaignState(id, points, req.Reports, req.Trace); err != nil {
+		return nil, nil, false, fmt.Errorf("create record: %w", err)
+	}
 	if req.Experiment != "" {
 		// Re-resolve the journaled parameters so attaches can rebuild the
 		// fold. A registry drift (renamed experiment, changed parameter)
@@ -462,13 +496,20 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := canonicalCampaignID(r.Header.Get("X-Campaign-ID"))
-	cs := newCampaignState(id, points, req.Reports, req.Trace)
+	cs, err := newCampaignState(id, points, req.Reports, req.Trace)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	if !s.resources.add(cs) {
 		writeCampaignError(w, http.StatusConflict, id,
 			fmt.Errorf("campaign %s already exists; attach with GET /v1/campaigns/%s", id, id))
 		return
 	}
-	if !s.journalCreate(w, cs, req) {
+	if !s.journalCreate(w, cs, struct {
+		Reports bool `json:"reports,omitempty"`
+		Trace   bool `json:"trace,omitempty"`
+	}{cs.reports, cs.trace}) {
 		return
 	}
 	mCampaignsCreated.Inc()
@@ -479,16 +520,17 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 }
 
 // journalCreate write-ahead journals the create record for a freshly
-// registered campaign: the record (the campaign's full point list, plus
-// the experiment binding when there is one) lands before any work is
-// dispatched, so a crash at any later instant leaves a resumable
-// journal. On failure it unregisters the campaign, replies with the
-// envelope, and returns false. A no-op without EnableJournal.
-func (s *Server) journalCreate(w http.ResponseWriter, cs *campaignState, record any) bool {
+// registered campaign: the record (the campaign's full point list in
+// its wire encoding, then rest's fields: the stream options and, for
+// an experiment, its binding) lands before any work is dispatched, so
+// a crash at any later instant leaves a resumable journal. On failure
+// it unregisters the campaign, replies with the envelope, and returns
+// false. A no-op without EnableJournal.
+func (s *Server) journalCreate(w http.ResponseWriter, cs *campaignState, rest any) bool {
 	if s.journal == nil {
 		return true
 	}
-	create, err := json.Marshal(record)
+	create, err := pointsObject(cs.wire, rest)
 	if err == nil {
 		cs.w, err = s.journal.Create(cs.id, create)
 	}
@@ -665,8 +707,9 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 	defer s.campaigns.Add(-1)
 
 	pts := make([]sdpolicy.Point, len(remaining))
+	wire := make([][]byte, len(remaining))
 	for i, pos := range remaining {
-		pts[i] = cs.points[pos]
+		pts[i], wire[i] = cs.points[pos], cs.wire[pos]
 	}
 	mode := "local"
 	if s.coord != nil {
@@ -689,7 +732,7 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 	}
 	if s.coord != nil {
 		run = func(ctx context.Context, pts []sdpolicy.Point, updates chan<- sdpolicy.PointResult) error {
-			return s.coord.run(ctx, pts, updates, cs.reports, cs.id, tr)
+			return s.coord.run(ctx, pts, wire, updates, cs.reports, cs.id, tr)
 		}
 	}
 	go func() { errc <- run(ctx, pts, updates) }()
@@ -736,29 +779,29 @@ func (s *Server) finishCampaign(cs *campaignState, err error, tr *traceRecorder)
 		}
 	}
 	if tr != nil {
-		s.appendFrame(cs, journal.KindTrace, func(seq uint64) any {
-			return struct {
+		s.appendFrame(cs, journal.KindTrace, func(seq uint64) ([]byte, error) {
+			return json.Marshal(struct {
 				Seq uint64 `json:"seq"`
 				TraceFrame
-			}{seq, tr.frame(cs.id, completed)}
+			}{seq, tr.frame(cs.id, completed)})
 		}, nil)
 	}
 	switch {
 	case err == nil:
-		s.appendTerminal(cs, journal.KindDone, campaignDone, func(seq uint64) any {
-			return struct {
+		s.appendTerminal(cs, journal.KindDone, campaignDone, func(seq uint64) ([]byte, error) {
+			return json.Marshal(struct {
 				Seq    uint64 `json:"seq"`
 				Done   bool   `json:"done"`
 				Points int    `json:"points"`
-			}{seq, true, len(cs.points)}
+			}{seq, true, len(cs.points)})
 		})
 		observeExperiment(cs, campaignDone)
 	case cancelled:
-		s.appendTerminal(cs, journal.KindCancelled, campaignCancelled, func(seq uint64) any {
-			return struct {
+		s.appendTerminal(cs, journal.KindCancelled, campaignCancelled, func(seq uint64) ([]byte, error) {
+			return json.Marshal(struct {
 				Seq       uint64 `json:"seq"`
 				Cancelled bool   `json:"cancelled"`
-			}{seq, true}
+			}{seq, true})
 		})
 		observeExperiment(cs, campaignCancelled)
 	default:
@@ -786,11 +829,11 @@ func (s *Server) appendErrorTerminal(cs *campaignState, err error) {
 	if errors.Is(err, sdpolicy.ErrBadInput) {
 		status = http.StatusBadRequest
 	}
-	s.appendTerminal(cs, journal.KindError, campaignFailed, func(seq uint64) any {
-		return struct {
+	s.appendTerminal(cs, journal.KindError, campaignFailed, func(seq uint64) ([]byte, error) {
+		return json.Marshal(struct {
 			Seq   uint64      `json:"seq"`
 			Error ErrorDetail `json:"error"`
-		}{seq, ErrorDetail{Code: errorCode(status), Message: err.Error(), CampaignID: cs.id}}
+		}{seq, ErrorDetail{Code: errorCode(status), Message: err.Error(), CampaignID: cs.id}})
 	})
 	cs.mu.Lock()
 	cs.errMsg = err.Error()
@@ -798,37 +841,52 @@ func (s *Server) appendErrorTerminal(cs *campaignState, err error) {
 	observeExperiment(cs, campaignFailed)
 }
 
-// appendResult journals and buffers one result frame, with the
-// point's per-job report when u carries one. The frame embeds its seq,
-// so journal replay reproduces the bytes exactly.
+// appendResult journals and buffers one result frame,
+// {"seq":N,"index":i,"point":...,"result":...}, with "report" added
+// when u carries the point's per-job report. The frame is spliced from
+// bytes encoded once: the point's when the campaign was built, the
+// result's when it entered its engine (Result.AppendJSON). u.Report
+// must be compact, HTML-escaped JSON, as json.Marshal writes it; the
+// frame then equals json.Marshal of those five fields. It embeds its
+// seq, so journal replay reproduces the bytes exactly.
 func (s *Server) appendResult(cs *campaignState, pos int, u sdpolicy.PointResult) {
-	s.appendFrame(cs, journal.KindResult, func(seq uint64) any {
-		return struct {
-			Seq    uint64           `json:"seq"`
-			Index  int              `json:"index"`
-			Point  sdpolicy.Point   `json:"point"`
-			Result *sdpolicy.Result `json:"result"`
-			Report json.RawMessage  `json:"report,omitempty"`
-		}{seq, pos, cs.points[pos], u.Result, u.Report}
+	s.appendFrame(cs, journal.KindResult, func(seq uint64) ([]byte, error) {
+		b := make([]byte, 0, 512+len(cs.wire[pos])+len(u.Report))
+		b = append(b, `{"seq":`...)
+		b = strconv.AppendUint(b, seq, 10)
+		b = append(b, `,"index":`...)
+		b = strconv.AppendInt(b, int64(pos), 10)
+		b = append(b, `,"point":`...)
+		b = append(b, cs.wire[pos]...)
+		b = append(b, `,"result":`...)
+		b, err := u.Result.AppendJSON(b)
+		if err != nil {
+			return nil, err
+		}
+		if len(u.Report) > 0 {
+			b = append(b, `,"report":`...)
+			b = append(b, u.Report...)
+		}
+		return append(b, '}'), nil
 	}, func(cs *campaignState) { cs.completed++ })
 }
 
-func (s *Server) appendTerminal(cs *campaignState, kind, state string, payload func(seq uint64) any) {
+func (s *Server) appendTerminal(cs *campaignState, kind, state string, payload func(seq uint64) ([]byte, error)) {
 	s.appendFrame(cs, kind, payload, func(cs *campaignState) { cs.state = state })
 	s.resources.retire(cs.id)
 }
 
-// appendFrame assigns the next seq, marshals the frame, journals it
-// (write-ahead: the journal sees the frame before any attacher can),
-// then publishes it and wakes attached streams. apply, when non-nil,
-// runs under the same lock as the publish so state and frames move
-// together. Exactly one goroutine appends per campaign, which is what
-// makes the lock-free seq read sound.
-func (s *Server) appendFrame(cs *campaignState, kind string, payload func(seq uint64) any, apply func(*campaignState)) {
+// appendFrame assigns the next seq, encodes the frame with payload,
+// journals it (write-ahead: the journal sees the frame before any
+// attacher can), then publishes it and wakes attached streams. apply,
+// when non-nil, runs under the same lock as the publish so state and
+// frames move together. Exactly one goroutine appends per campaign,
+// which is what makes the lock-free seq read sound.
+func (s *Server) appendFrame(cs *campaignState, kind string, payload func(seq uint64) ([]byte, error), apply func(*campaignState)) {
 	cs.mu.Lock()
 	seq := uint64(len(cs.frames)) + 1
 	cs.mu.Unlock()
-	data, err := json.Marshal(payload(seq))
+	data, err := payload(seq)
 	if err != nil {
 		slog.Error("campaign frame marshal failed", "campaign_id", cs.id, "kind", kind, "err", err)
 		return

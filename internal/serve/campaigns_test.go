@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -472,6 +473,66 @@ func TestJournalCrashResume(t *testing.T) {
 	s3.EnableJournal(j3)
 	if stats := s3.Activate(); stats.Resumed != 0 || stats.Completed != 1 {
 		t.Fatalf("post-resume activation stats %+v, want 1 completed", stats)
+	}
+}
+
+// TestJournalCreateRecordHoldsWireEncoding: a campaign's create record
+// holds its points' wire encoding, the bytes its result frames echo.
+// A journal written before then holds the request's own spelling of
+// the points (defaults left out), and recovers to the same points: its
+// resumed frames equal a fresh campaign's, byte for byte.
+func TestJournalCreateRecordHoldsWireEncoding(t *testing.T) {
+	const body = `{"points":[
+		{"workload":"wl5","scale":0.15,"options":{"policy":"sd","max_slowdown":10}},
+		{"workload":"wl5","scale":0.15,"seed":2,"malleable_fraction":0.5,"options":{"policy":"static"}}]}`
+	j, err := journal.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, []byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	w, err := j.Create("request-spelling", compact.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := New(sdpolicy.NewEngine(1, 0), 4)
+	s.EnableJournal(j)
+	if stats := s.Activate(); stats.Resumed != 1 {
+		t.Fatalf("activation stats %+v, want the hand-written journal resumed", stats)
+	}
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	id := createCampaign(t, srv.URL, "wire-spelling", body)
+
+	var req CreateCampaignRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	points, err := sdpolicy.PointsFromSpecs(req.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(struct {
+		Points []sdpolicy.Point `json:"points"`
+	}{points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := j.Read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(recs[0].Data) != string(want) {
+		t.Fatalf("create record\n%s\nwant\n%s", recs[0].Data, want)
+	}
+	fresh, resumed := attachLines(t, srv.URL, id, 0), attachLines(t, srv.URL, "request-spelling", 0)
+	if strings.Join(fresh, "\n") != strings.Join(resumed, "\n") {
+		t.Fatalf("resumed frames\n%s\nwant the fresh campaign's\n%s", strings.Join(resumed, "\n"), strings.Join(fresh, "\n"))
 	}
 }
 

@@ -145,7 +145,9 @@ const (
 // shard jobs stolen by per-peer worker loops that come and go with
 // fleet membership.
 type fanout struct {
-	points  []sdpolicy.Point
+	points []sdpolicy.Point
+	// wire holds each point's JSON encoding, spliced into shard bodies.
+	wire    [][]byte
 	updates chan<- sdpolicy.PointResult
 	cancel  context.CancelFunc
 	// campaignID prefixes every shard's ID on its worker (shardID);
@@ -174,10 +176,11 @@ type fanout struct {
 // run executes the campaign across the fleet, delivering each result on
 // updates the moment a worker streams it, and returns once every point
 // has resolved or the campaign failed. It mirrors Engine.RunStream's
-// contract: updates is closed before returning. wantReports asks the
-// workers for per-job reports and relays each on its PointResult as the
-// bytes the worker sent.
-func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, updates chan<- sdpolicy.PointResult, wantReports bool, campaignID string, tr *traceRecorder) error {
+// contract: updates is closed before returning. wire holds each
+// point's JSON encoding. wantReports asks the workers for per-job
+// reports and relays each on its PointResult as the bytes the worker
+// sent, compacted.
+func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, wire [][]byte, updates chan<- sdpolicy.PointResult, wantReports bool, campaignID string, tr *traceRecorder) error {
 	defer close(updates)
 	c.peers.expireLeases()
 	fleet := c.peers.fleetSize()
@@ -192,6 +195,7 @@ func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, updates 
 	defer cancel()
 	st := &fanout{
 		points:     points,
+		wire:       wire,
 		updates:    updates,
 		cancel:     cancel,
 		campaignID: campaignID,
@@ -352,16 +356,15 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 		}
 		return rem
 	}
-	pts := make([]sdpolicy.Point, len(job.positions))
+	wire := make([][]byte, len(job.positions))
 	for i, pos := range job.positions {
-		pts[i] = st.points[pos]
+		wire[i] = st.wire[pos]
 	}
 	prime := c.engine != nil && c.engine.PersistsCache()
 	reports := wantReports || prime
-	body, err := json.Marshal(struct {
-		Points  []sdpolicy.Point `json:"points"`
-		Reports bool             `json:"reports,omitempty"`
-	}{pts, reports})
+	body, err := pointsObject(wire, struct {
+		Reports bool `json:"reports,omitempty"`
+	}{reports})
 	if err != nil {
 		return job, err, verdictFatal
 	}
@@ -405,10 +408,16 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 			if prime && f.Result.SetReportJSON(f.Report) == nil {
 				c.engine.Prime(st.points[pos], f.Result)
 			}
-			if !wantReports {
-				f.Report = nil
+			// f.Result decoded: that is the check on the worker's
+			// output, and appendResult encodes it once. The report is
+			// compacted and HTML-escaped, as json.Marshal writes a
+			// RawMessage, so the frame stays one line; it decoded, so
+			// it compacts.
+			var report json.RawMessage
+			if wantReports {
+				report, _ = json.Marshal(f.Report)
 			}
-			st.emit(ctx, pos, f.Result, f.Report)
+			st.emit(ctx, pos, f.Result, report)
 		case f.Shutdown != nil && *f.Shutdown:
 			return missing(), fmt.Errorf("worker %s: shutting down", workerURL), verdictDead
 		case f.Done != nil && *f.Done:

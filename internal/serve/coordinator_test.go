@@ -420,6 +420,48 @@ func TestCoordinatorCancelPropagatesToShards(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRetiresWorkerOnUndecodableResult: the coordinator
+// decodes every result a worker relays into a Result, and that decode
+// is its only check on a worker's output. A result frame whose result
+// does not decode ends the shard with verdictDead, the worker's
+// retirement, and emits nothing, so the position is requeued.
+func TestCoordinatorRetiresWorkerOnUndecodableResult(t *testing.T) {
+	for _, result := range []string{`{"jobs":"x"}`, `[1]`} {
+		t.Run(result, func(t *testing.T) {
+			worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost {
+					w.WriteHeader(http.StatusCreated)
+					io.WriteString(w, `{"id":"s"}`)
+					return
+				}
+				io.WriteString(w, `{"seq":1,"index":0,"result":`+result+"}\n"+`{"seq":2,"done":true,"points":1}`+"\n")
+			}))
+			t.Cleanup(worker.Close)
+			c, err := newCoordinator(CoordinatorConfig{Client: worker.Client()}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, err := newCampaignState("c", campaignTestPoints(t)[:1], false, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			updates := make(chan sdpolicy.PointResult, 1)
+			st := &fanout{points: cs.points, wire: cs.wire, updates: updates, received: make([]bool, 1)}
+			rem, err, verdict := c.runShard(context.Background(), worker.URL, shardJob{positions: []int{0}}, st, false)
+			close(updates)
+			if verdict != verdictDead || err == nil {
+				t.Fatalf("verdict %d (err %v), want verdictDead", verdict, err)
+			}
+			for u := range updates {
+				t.Fatalf("position %d emitted with result %+v", u.Index, u.Result)
+			}
+			if !slices.Equal(rem.positions, []int{0}) {
+				t.Fatalf("remainder %v, want position 0 requeued", rem.positions)
+			}
+		})
+	}
+}
+
 // FuzzShardStream serves arbitrary bytes as a worker's attach stream to
 // runShard for a shard of three positions, once for a campaign without
 // reports and once for a report campaign. runShard must not panic; it
@@ -453,6 +495,10 @@ func FuzzShardStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	cs, err := newCampaignState("s", make([]sdpolicy.Point, 5), false, false)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A copy: a handler cut off mid-write may still read it after
 		// this input returns, when the engine reuses data.
@@ -461,7 +507,7 @@ func FuzzShardStream(f *testing.F) {
 		for _, wantReports := range []bool{false, true} {
 			attached.Store(false)
 			updates := make(chan sdpolicy.PointResult, len(shard))
-			st := &fanout{points: make([]sdpolicy.Point, 5), updates: updates, received: make([]bool, 5)}
+			st := &fanout{points: cs.points, wire: cs.wire, updates: updates, received: make([]bool, 5)}
 			rem, err, verdict := c.runShard(context.Background(), worker.URL, shardJob{positions: shard}, st, wantReports)
 			close(updates)
 			if !attached.Load() {

@@ -74,12 +74,11 @@ type CreateExperimentResponse struct {
 	Points int `json:"points"`
 }
 
-// experimentCreateRecord is the journaled create record of an
-// experiment-backed campaign: a CreateCampaignRequest-compatible core
-// (Points marshal in the PointSpec wire form) plus the experiment
+// experimentCreateRecord is what the journaled create record of an
+// experiment-backed campaign holds after its points (journalCreate
+// splices those in first): the stream options and the experiment
 // binding, so recovery rebuilds both the campaign and the reducer.
 type experimentCreateRecord struct {
-	Points     []sdpolicy.Point           `json:"points"`
 	Reports    bool                       `json:"reports,omitempty"`
 	Experiment string                     `json:"experiment"`
 	Params     map[string]json.RawMessage `json:"params,omitempty"`
@@ -156,7 +155,11 @@ func (s *Server) handleExperimentCreate(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	id := canonicalCampaignID(r.Header.Get("X-Campaign-ID"))
-	cs := newCampaignState(id, inst.Points(), d.NeedsReports, false)
+	cs, err := newCampaignState(id, inst.Points(), d.NeedsReports, false)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("experiment %s: %w", d.Name, err))
+		return
+	}
 	cs.experiment = d.Name
 	cs.expParams = params
 	if !s.resources.add(cs) {
@@ -165,7 +168,6 @@ func (s *Server) handleExperimentCreate(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	if !s.journalCreate(w, cs, experimentCreateRecord{
-		Points:     cs.points,
 		Reports:    cs.reports,
 		Experiment: d.Name,
 		Params:     rawParams,

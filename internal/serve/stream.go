@@ -109,6 +109,8 @@ type streamWriter struct {
 	w   http.ResponseWriter
 	fl  http.Flusher
 	sse bool
+	// line is an NDJSON frame and its newline, reused from frame to frame.
+	line []byte
 }
 
 func newStreamWriter(w http.ResponseWriter, sse bool) *streamWriter {
@@ -143,13 +145,14 @@ func (sw *streamWriter) event(name string, v any) {
 
 // rawEvent writes one pre-marshalled payload — a campaign frame, whose
 // bytes are fixed at append time (and in the journal) so every attach
-// replays them identically.
+// replays them identically — in one Write.
 func (sw *streamWriter) rawEvent(name string, data []byte) {
 	if sw.sse {
 		fmt.Fprintf(sw.w, "event: %s\ndata: %s\n\n", name, data)
-	} else {
-		fmt.Fprintf(sw.w, "%s\n", data)
+		return
 	}
+	sw.line = append(append(sw.line[:0], data...), '\n')
+	sw.w.Write(sw.line)
 }
 
 func (sw *streamWriter) flush() {

@@ -58,6 +58,7 @@ package sdpolicy
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -298,6 +299,33 @@ type Result struct {
 	Mates           int     `json:"mates"`
 
 	report metrics.Report
+	// encoded is the result's JSON encoding. It is set once, as the
+	// result enters an engine (simulated, loaded from a cache log or
+	// primed), and never after: cached results are shared between
+	// goroutines.
+	encoded []byte
+}
+
+// AppendJSON appends the result's JSON encoding, the bytes json.Marshal
+// writes for it, to b. A result an Engine returns carries the encoding
+// it was given when it entered the engine, so serving it encodes
+// nothing again; any other result is encoded now.
+func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	if r.encoded != nil {
+		return append(b, r.encoded...), nil
+	}
+	enc, err := json.Marshal(r)
+	if err != nil {
+		return b, err
+	}
+	return append(b, enc...), nil
+}
+
+// encode sets the result's encoding. Call it only while the result has
+// one owner, before a cache shares it. A result that does not encode
+// keeps no encoding, and AppendJSON reports the error.
+func (r *Result) encode() {
+	r.encoded, _ = json.Marshal(r)
 }
 
 // DayPoint is one sample of the Figure 7 per-day series.
