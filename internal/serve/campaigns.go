@@ -845,10 +845,11 @@ func (s *Server) appendErrorTerminal(cs *campaignState, err error) {
 // {"seq":N,"index":i,"point":...,"result":...}, with "report" added
 // when u carries the point's per-job report. The frame is spliced from
 // bytes encoded once: the point's when the campaign was built, the
-// result's when it entered its engine (Result.AppendJSON). u.Report
-// must be compact, HTML-escaped JSON, as json.Marshal writes it; the
-// frame then equals json.Marshal of those five fields. It embeds its
-// seq, so journal replay reproduces the bytes exactly.
+// result's when it entered its engine or, relayed, the bytes its
+// worker sent (Result.AppendJSON). u.Report must be compact,
+// HTML-escaped JSON, as json.Marshal writes it; the frame then equals
+// json.Marshal of those five fields. It embeds its seq, so journal
+// replay reproduces the bytes exactly.
 func (s *Server) appendResult(cs *campaignState, pos int, u sdpolicy.PointResult) {
 	s.appendFrame(cs, journal.KindResult, func(seq uint64) ([]byte, error) {
 		b := make([]byte, 0, 512+len(cs.wire[pos])+len(u.Report))
@@ -871,9 +872,16 @@ func (s *Server) appendResult(cs *campaignState, pos int, u sdpolicy.PointResult
 	}, func(cs *campaignState) { cs.completed++ })
 }
 
+// appendTerminal appends the campaign's terminal frame and retires the
+// campaign before the frame is published, under the campaign's lock, so
+// a client that has read the frame finds the campaign already counted
+// among the finished ones the registry bounds. The registry's lock is
+// never held while taking a campaign's.
 func (s *Server) appendTerminal(cs *campaignState, kind, state string, payload func(seq uint64) ([]byte, error)) {
-	s.appendFrame(cs, kind, payload, func(cs *campaignState) { cs.state = state })
-	s.resources.retire(cs.id)
+	s.appendFrame(cs, kind, payload, func(cs *campaignState) {
+		cs.state = state
+		s.resources.retire(cs.id)
+	})
 }
 
 // appendFrame assigns the next seq, encodes the frame with payload,

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -383,10 +386,10 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 		return job, fmt.Errorf("worker %w", err), workerVerdict(err)
 	}
 	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
+	frames := newShardStream(resp.Body, wire)
 	for {
 		var f streamFrame
-		if derr := dec.Decode(&f); derr != nil {
+		if derr := frames.next(&f); derr != nil {
 			return missing(), fmt.Errorf("worker %s: stream ended early: %w", workerURL, derr), verdictDead
 		}
 		switch {
@@ -409,10 +412,11 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 				c.engine.Prime(st.points[pos], f.Result)
 			}
 			// f.Result decoded: that is the check on the worker's
-			// output, and appendResult encodes it once. The report is
-			// compacted and HTML-escaped, as json.Marshal writes a
-			// RawMessage, so the frame stays one line; it decoded, so
-			// it compacts.
+			// output. A result that arrived as the bytes json.Marshal
+			// writes keeps them, so appendResult encodes nothing. The
+			// report is compacted and HTML-escaped, as json.Marshal
+			// writes a RawMessage, so the frame stays one line; it
+			// decoded, so it compacts.
 			var report json.RawMessage
 			if wantReports {
 				report, _ = json.Marshal(f.Report)
@@ -436,6 +440,97 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 			return missing(), fmt.Errorf("worker %s: %s", workerURL, f.Error.Message), verdictFatal
 		}
 	}
+}
+
+// shardStream reads the frames of a worker's attach stream for one
+// shard. While each line is a result frame in the worker's own layout
+// (resultLine), it reads the stream line by line and parses each frame
+// once, and the result keeps the worker's bytes as its encoding. From
+// the first line that is anything else (a frame with a report, a
+// terminal frame, a line longer than the buffer, a frame that does not
+// end its line), that line and the rest of the stream go to
+// json.Decoder. A shard that asks for reports (a report campaign, or
+// any campaign of a coordinator that primes its cache) therefore goes
+// to json.Decoder from its first result, and its results keep their
+// bytes through Result.UnmarshalJSON.
+type shardStream struct {
+	r *bufio.Reader
+	// wire holds the shard's points' encodings, by index in the shard.
+	wire [][]byte
+	dec  *json.Decoder
+	// lines counts the frames read line by line.
+	lines int
+}
+
+func newShardStream(body io.Reader, wire [][]byte) *shardStream {
+	return &shardStream{r: bufio.NewReader(body), wire: wire}
+}
+
+// next reads the stream's next frame into f, which must be zero, as
+// json.Decoder.Decode would.
+func (s *shardStream) next(f *streamFrame) error {
+	if s.dec == nil {
+		line, err := s.r.ReadSlice('\n')
+		if err == nil && s.resultLine(line[:len(line)-1], f) {
+			s.lines++
+			return nil
+		}
+		// The decoder reads all of line before it reads s.r again, so
+		// line's bytes are intact. A response body repeats its read
+		// error, so the decoder meets the end the line met.
+		s.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(line), s.r))
+	}
+	return s.dec.Decode(f)
+}
+
+// resultLine reads line, without its newline, as a result frame in the
+// worker's own layout, {"seq":N,"index":I,"point":P,"result":R}: N and
+// I spelled as json.Marshal spells them, I an index into the shard, P
+// byte for byte the coordinator's encoding of that point, and R an
+// object that Result.UnmarshalJSON decodes. On such a line it sets f to
+// the frame json.Decoder would decode and reports true; it leaves f
+// alone on any other line.
+func (s *shardStream) resultLine(line []byte, f *streamFrame) bool {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"seq":`))
+	if !ok {
+		return false
+	}
+	tok, rest, ok := bytes.Cut(rest, []byte(`,"index":`))
+	seq, spelled := uintToken(tok)
+	if !ok || !spelled {
+		return false
+	}
+	tok, rest, ok = bytes.Cut(rest, []byte(`,"point":`))
+	index, spelled := uintToken(tok)
+	if !ok || !spelled || index >= uint64(len(s.wire)) {
+		return false
+	}
+	rest, ok = bytes.CutPrefix(rest, s.wire[index])
+	if !ok {
+		return false
+	}
+	result, ok := bytes.CutPrefix(rest, []byte(`,"result":`))
+	// R must be an object: json.Decoder reads "result":null as a frame
+	// without a result.
+	if !ok || len(result) == 0 || result[0] != '{' {
+		return false
+	}
+	result, ok = bytes.CutSuffix(result, []byte("}"))
+	res := new(sdpolicy.Result)
+	if !ok || res.UnmarshalJSON(result) != nil {
+		return false
+	}
+	i := int(index)
+	*f = streamFrame{Seq: seq, Index: &i, Result: res}
+	return true
+}
+
+// uintToken parses tok if it spells a uint64 as json.Marshal does: no
+// sign, no leading zero, no fraction or exponent.
+func uintToken(tok []byte) (uint64, bool) {
+	n, err := strconv.ParseUint(string(tok), 10, 64)
+	var spell [20]byte
+	return n, err == nil && bytes.Equal(strconv.AppendUint(spell[:0], n, 10), tok)
 }
 
 // workerVerdict classifies a failed shard create or attach. A 400 is

@@ -469,11 +469,15 @@ func TestCoordinatorRetiresWorkerOnUndecodableResult(t *testing.T) {
 // exactly when the campaign asks for reports; the remainder it returns
 // plus the positions it emitted must be the whole shard; and it may
 // return verdictOK only after a done frame, with every position
-// delivered. The seeds are a clean stream, a torn last line, a
-// duplicate index, an out-of-range index and a shutdown frame, all
-// without reports (a report campaign finds their first result
-// malformed), and results with their reports (a campaign without
-// reports drops them).
+// delivered. Reading the bytes line by line must change how frames are
+// read, not which: shardStream reads the frames json.Decoder reads, up
+// to and including the first error. The seeds in testdata are a clean
+// stream, a torn last line, a duplicate index, an out-of-range index
+// and a shutdown frame, all without points or reports (a report
+// campaign finds their first result malformed), and results with their
+// reports (a campaign without reports drops them). The seeds added here
+// are lineStreams: result frames that carry the campaign's own point
+// encodings, as a real worker's do, and near misses of that layout.
 func FuzzShardStream(f *testing.F) {
 	shard := []int{1, 3, 4}
 	// One fake worker serves every input, as a fuzz process runs its
@@ -499,6 +503,10 @@ func FuzzShardStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	for _, s := range lineStreams(f, cs.wire[1]) {
+		f.Add(s.stream)
+	}
+	shardWire := [][]byte{cs.wire[shard[0]], cs.wire[shard[1]], cs.wire[shard[2]]}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A copy: a handler cut off mid-write may still read it after
 		// this input returns, when the engine reuses data.
@@ -532,6 +540,24 @@ func FuzzShardStream(f *testing.F) {
 			}
 			if verdict == verdictOK && (err != nil || len(emitted) != len(shard) || !holdsDone(data)) {
 				t.Fatalf("reports %v: verdictOK (err %v) with %d of %d positions emitted", wantReports, err, len(emitted), len(shard))
+			}
+		}
+
+		frames := newShardStream(bytes.NewReader(data), shardWire)
+		dec := json.NewDecoder(bytes.NewReader(data))
+		for n := 1; ; n++ {
+			var got, want streamFrame
+			gotErr, wantErr := frames.next(&got), dec.Decode(&want)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("frame %d: shardStream error %v, json.Decoder error %v", n, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				break
+			}
+			g, gerr := json.Marshal(got)
+			w, werr := json.Marshal(want)
+			if gerr != nil || werr != nil || !bytes.Equal(g, w) {
+				t.Fatalf("frame %d: shardStream read %s (%v), json.Decoder %s (%v)", n, g, gerr, w, werr)
 			}
 		}
 	})

@@ -140,6 +140,29 @@ func TestSplicedFramesMatchMarshal(t *testing.T) {
 			})
 		}
 	}
+	// A coordinator reads a result line in one pass while it echoes the
+	// coordinator's own encoding of its point (shardStream). Every
+	// result line a worker streams for a shard body spliced from those
+	// encodings must, so a change to a frame's, a point's or a result's
+	// layout that would turn the line path off fails here.
+	t.Run("worker-lines", func(t *testing.T) {
+		cs, err := newCampaignState("c", points, false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardBody, err := pointsObject(cs.wire, struct{}{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := server()
+		lines := attachLines(t, base, createCampaign(t, base, "", string(shardBody)), 0)
+		frames := newShardStream(strings.NewReader(strings.Join(lines, "\n")+"\n"), cs.wire)
+		for frames.next(new(streamFrame)) == nil {
+		}
+		if frames.lines != len(points) {
+			t.Fatalf("%d of %d result frames read line by line", frames.lines, len(points))
+		}
+	})
 }
 
 // TestCoordinatorCompactsRelayedReports: a journaled coordinator relays

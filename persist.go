@@ -127,7 +127,6 @@ func (e *Engine) PersistCache(dir string) (stats CacheMergeStats, close func() (
 	for i, key := range keys {
 		res := *merged[key].Result
 		res.report = merged[key].Report
-		res.encode()
 		vals[i] = &res
 	}
 	e.runner.CachePrime(keys, vals)
@@ -256,9 +255,10 @@ func (r *Result) SetReportJSON(data []byte) error {
 // engine whose cache is disabled is a no-op. With PersistCache on, the
 // result is also appended to the cache log, so it should carry its
 // per-job report (SetReportJSON) first; a report-less result still
-// serves campaign hits but persists an empty report. The cache keeps a
-// copy of a result that does not carry its JSON encoding yet (one
-// decoded from the wire), so the copy can be given one.
+// serves campaign hits but persists an empty report. A result decoded
+// from the bytes json.Marshal writes carries them as its encoding and
+// is cached as it is; the cache keeps a copy of any other result, so
+// the copy can be given one.
 func (e *Engine) Prime(p Point, res *Result) error {
 	if res == nil {
 		return fmt.Errorf("sdpolicy: priming a nil result: %w", ErrBadInput)

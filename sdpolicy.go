@@ -299,17 +299,19 @@ type Result struct {
 	Mates           int     `json:"mates"`
 
 	report metrics.Report
-	// encoded is the result's JSON encoding. It is set once, as the
-	// result enters an engine (simulated, loaded from a cache log or
-	// primed), and never after: cached results are shared between
-	// goroutines.
+	// encoded is the result's JSON encoding. It is set once, when the
+	// result is simulated, primed or decoded from the bytes json.Marshal
+	// writes (UnmarshalJSON, which is how a cache log entry or a relayed
+	// result gets it), and never after: cached results are shared
+	// between goroutines.
 	encoded []byte
 }
 
 // AppendJSON appends the result's JSON encoding, the bytes json.Marshal
 // writes for it, to b. A result an Engine returns carries the encoding
-// it was given when it entered the engine, so serving it encodes
-// nothing again; any other result is encoded now.
+// it was given when it entered the engine, and one decoded from those
+// bytes keeps them, so serving either encodes nothing again; any other
+// result is encoded now.
 func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 	if r.encoded != nil {
 		return append(b, r.encoded...), nil
