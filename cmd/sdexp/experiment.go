@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -22,11 +21,9 @@ import (
 // identical output — which is exactly what the CI experiments gate
 // diffs.
 
-// runExperiment runs the named registry experiment. With serverList
-// (comma-separated equivalent sdserve bases) the experiment is created
-// as a /v1/experiments resource and the terminal summary frame is
-// decoded back into the experiment's Go result type; otherwise the
-// local engine simulates it. Both paths render identically.
+// runExperiment runs the named registry experiment, on the servers in
+// serverList (comma-separated equivalent sdserve bases) or else on the
+// local engine, and renders its summary.
 func (r *runner) runExperiment(name, serverList string) error {
 	if name == "list" {
 		for _, d := range sdpolicy.Experiments().List() {
@@ -38,8 +35,19 @@ func (r *runner) runExperiment(name, serverList string) error {
 	if d == nil {
 		return fmt.Errorf("unknown experiment %q (-experiment list prints the registry)", name)
 	}
-	// Carry the -scale/-seed flags into whichever of the experiment's
-	// parameters they correspond to; everything else runs on defaults.
+	result, err := r.summary(d, serverList)
+	if err != nil {
+		return err
+	}
+	return renderExperiment(os.Stdout, result)
+}
+
+// summary runs experiment d with the -scale/-seed flags carried into
+// whichever of its parameters they name, every other parameter on its
+// default. With serverList it runs as a /v1/experiments resource there,
+// and d decodes the summary frame into the type the local engine
+// returns, so both paths render through the same code.
+func (r *runner) summary(d *sdpolicy.ExperimentDescriptor, serverList string) (any, error) {
 	params := reducer.Params{}
 	for _, ps := range d.Params {
 		switch ps.Name {
@@ -49,84 +57,23 @@ func (r *runner) runExperiment(name, serverList string) error {
 			params["seed"] = r.seed
 		}
 	}
-	var result any
-	if serverList != "" {
-		var bases []string
-		for _, b := range strings.Split(serverList, ",") {
-			if b = strings.TrimSpace(b); b != "" {
-				bases = append(bases, b)
-			}
-		}
-		raw, err := serve.RunRemoteExperiment(r.ctx, http.DefaultClient, bases, name, params, nil)
-		if err != nil {
-			return err
-		}
-		result, err = decodeExperimentSummary(name, raw)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		result, err = r.engine.Experiment(r.ctx, name, params)
-		if err != nil {
-			return err
-		}
+	if serverList == "" {
+		return r.engine.Experiment(r.ctx, d.Name, params)
 	}
-	return renderExperiment(os.Stdout, result)
-}
-
-// decodeExperimentSummary decodes a terminal summary frame's raw JSON
-// into the experiment's Go result type, so the remote path renders
-// through exactly the code the local path uses.
-func decodeExperimentSummary(name string, raw json.RawMessage) (any, error) {
-	decode := func(v any) (any, error) {
-		if err := json.Unmarshal(raw, v); err != nil {
-			return nil, fmt.Errorf("experiment %s summary: %w", name, err)
-		}
-		return v, nil
+	raw, err := serve.RunRemoteExperiment(r.ctx, http.DefaultClient, splitBases(serverList), d.Name, params, nil)
+	if err != nil {
+		return nil, err
 	}
-	switch name {
-	case "table1":
-		v, err := decode(&[]sdpolicy.Table1Row{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.Table1Row), nil
-	case "table2":
-		v, err := decode(&[]sdpolicy.Table2Row{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.Table2Row), nil
-	case "sweep_maxsd":
-		v, err := decode(&[]sdpolicy.SweepRow{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.SweepRow), nil
-	case "runtime_models":
-		v, err := decode(&[]sdpolicy.ModelRow{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.ModelRow), nil
-	case "big_workload":
-		return decode(&sdpolicy.BigAnalysis{})
-	case "real_run":
-		return decode(&sdpolicy.RealRunReport{})
-	default:
-		// Every ablation family (and compare_policies) reduces to rows.
-		v, err := decode(&[]sdpolicy.AblationRow{})
-		if err != nil {
-			return nil, err
-		}
-		return *v.(*[]sdpolicy.AblationRow), nil
+	result, err := d.Decode(raw)
+	if err != nil {
+		return nil, fmt.Errorf("experiment %s summary: %w", d.Name, err)
 	}
+	return result, nil
 }
 
 // renderExperiment dispatches on the experiment's result type. The
-// render functions are shared with the legacy -exp runners, so the two
-// modes can never drift apart on formatting.
+// render functions are shared with the -exp sections, so the two modes
+// can never drift apart on formatting.
 func renderExperiment(w io.Writer, result any) error {
 	switch v := result.(type) {
 	case []sdpolicy.Table1Row:

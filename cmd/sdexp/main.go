@@ -11,14 +11,16 @@
 //	ablations  design-choice sweeps (sharing factor, max mates,
 //	           malleable fraction, free-node mixing, node features)
 //
-// The default -scale 0.1 keeps the full suite in the minutes range;
-// -scale 1 reproduces the paper's full workload sizes (wl4 alone then
-// simulates 198509 jobs and takes correspondingly long).
+// Each section runs experiments of the shared registry (the same
+// registry sdserve exposes as /v1/experiments; -experiment list prints
+// it) on the -scale and -seed flags. The default -scale 0.1 keeps the
+// full suite in the minutes range; -scale 1 reproduces the paper's full
+// workload sizes (wl4 alone then simulates 198509 jobs and takes
+// correspondingly long).
 //
-// -experiment name runs one experiment of the shared registry (the
-// same registry sdserve exposes as /v1/experiments; -experiment list
-// prints it) and renders its result without the -exp banner and timing
-// lines, so two runs of the same experiment are byte-comparable.
+// -experiment name runs one experiment of the registry and renders its
+// result without the -exp banner and timing lines, so two runs of the
+// same experiment are byte-comparable.
 // Combined with -server url1,url2 the experiment is created as a
 // /v1/experiments resource on a remote sdserve deployment — the server
 // simulates (fanning out to its worker fleet if it is a coordinator)
@@ -91,6 +93,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -398,13 +401,7 @@ func parseShard(spec string) (index, of int, err error) {
 func streamFromServer(ctx context.Context, serverList string, engine *sdpolicy.Engine, points []sdpolicy.Point, updates chan<- sdpolicy.PointResult) error {
 	defer close(updates)
 	warm := engine.PersistsCache()
-	var bases []string
-	for _, b := range strings.Split(serverList, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			bases = append(bases, b)
-		}
-	}
-	return serve.RunDurableCampaign(ctx, nil, bases, points, warm, func(index int, res *sdpolicy.Result, report json.RawMessage) error {
+	return serve.RunDurableCampaign(ctx, nil, splitBases(serverList), points, warm, func(index int, res *sdpolicy.Result, report json.RawMessage) error {
 		// Warming is best-effort: a result whose report does not decode
 		// just leaves the cache cold for that point.
 		if warm && res.SetReportJSON(report) == nil {
@@ -421,6 +418,17 @@ func streamFromServer(ctx context.Context, serverList string, engine *sdpolicy.E
 	})
 }
 
+// splitBases splits a comma-separated list of server base URLs.
+func splitBases(list string) []string {
+	var bases []string
+	for _, b := range strings.Split(list, ",") {
+		if b = strings.TrimSpace(b); b != "" {
+			bases = append(bases, b)
+		}
+	}
+	return bases
+}
+
 type runner struct {
 	ctx    context.Context
 	engine *sdpolicy.Engine
@@ -429,40 +437,45 @@ type runner struct {
 	outDir string
 }
 
+// sections are the -exp sections, in -exp all order. Each runs its
+// registry experiments locally on the -scale/-seed parameters and
+// renders their summaries.
+var sections = []struct {
+	name        string                 // the banner's name
+	selectors   []string               // the -exp names that select it
+	experiments []string               // registry experiments, run in order
+	render      func(io.Writer, []any) // nil: as -experiment renders the one summary
+}{
+	{name: "table1", selectors: []string{"table1"}, experiments: []string{"table1"}},
+	{name: "table2", selectors: []string{"table2"}, experiments: []string{"table2"}},
+	{name: "fig1-3", selectors: []string{"fig1", "fig2", "fig3"}, experiments: []string{"sweep_maxsd"}},
+	{name: "fig4-6", selectors: []string{"fig4", "fig5", "fig6"}, experiments: []string{"big_workload"},
+		render: func(w io.Writer, v []any) { renderBigHeatmaps(w, v[0].(*sdpolicy.BigAnalysis)) }},
+	{name: "fig7", selectors: []string{"fig7"}, experiments: []string{"big_workload"},
+		render: func(w io.Writer, v []any) { renderBigDaily(w, v[0].(*sdpolicy.BigAnalysis)) }},
+	{name: "fig8", selectors: []string{"fig8"}, experiments: []string{"runtime_models"}},
+	{name: "fig9", selectors: []string{"fig9"}, experiments: []string{"real_run"}},
+	{name: "ablations", selectors: []string{"ablations"}, experiments: []string{"ablate_sharing_factor", "ablate_max_mates",
+		"ablate_malleable_fraction", "ablate_free_node_mixing", "ablate_node_features", "compare_policies"},
+		render: func(w io.Writer, v []any) {
+			var rows []sdpolicy.AblationRow
+			for _, summary := range v {
+				rows = append(rows, summary.([]sdpolicy.AblationRow)...)
+			}
+			fmt.Fprintln(w, "wl1, normalised to static backfill (lower is better)")
+			renderAblationTable(w, rows)
+		}},
+}
+
+// run runs the sections that exp selects, every one for "all", each
+// under its banner and closed by its wall-clock line.
 func (r *runner) run(exp string) error {
-	type experiment struct {
-		name string
-		fn   func(io.Writer) error
-	}
-	all := []experiment{
-		{"table1", r.table1},
-		{"table2", r.table2},
-		{"fig1-3", r.figs123},
-		{"fig4-6", r.figs456},
-		{"fig7", r.fig7},
-		{"fig8", r.fig8},
-		{"fig9", r.fig9},
-		{"ablations", r.ablations},
-	}
-	selected := map[string][]experiment{
-		"all":       all,
-		"table1":    {all[0]},
-		"table2":    {all[1]},
-		"fig1":      {all[2]},
-		"fig2":      {all[2]},
-		"fig3":      {all[2]},
-		"fig4":      {all[3]},
-		"fig5":      {all[3]},
-		"fig6":      {all[3]},
-		"fig7":      {all[4]},
-		"fig8":      {all[5]},
-		"fig9":      {all[6]},
-		"ablations": {all[7]},
-	}[exp]
-	if selected == nil {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	for _, e := range selected {
+	selected := false
+	for _, sec := range sections {
+		if exp != "all" && !slices.Contains(sec.selectors, exp) {
+			continue
+		}
+		selected = true
 		start := time.Now()
 		var sink io.Writer = os.Stdout
 		var file *os.File
@@ -471,120 +484,32 @@ func (r *runner) run(exp string) error {
 				return err
 			}
 			var err error
-			file, err = os.Create(filepath.Join(r.outDir, e.name+".txt"))
+			file, err = os.Create(filepath.Join(r.outDir, sec.name+".txt"))
 			if err != nil {
 				return err
 			}
 			sink = io.MultiWriter(os.Stdout, file)
 		}
-		fmt.Fprintf(sink, "==== %s (scale %.2f, seed %d) ====\n", e.name, r.scale, r.seed)
-		if err := e.fn(sink); err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+		fmt.Fprintf(sink, "==== %s (scale %.2f, seed %d) ====\n", sec.name, r.scale, r.seed)
+		summaries := make([]any, len(sec.experiments))
+		for i, name := range sec.experiments {
+			var err error
+			if summaries[i], err = r.summary(sdpolicy.Experiments().Get(name), ""); err != nil {
+				return fmt.Errorf("%s: %w", sec.name, err)
+			}
 		}
-		fmt.Fprintf(sink, "[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		if sec.render != nil {
+			sec.render(sink, summaries)
+		} else if err := renderExperiment(sink, summaries[0]); err != nil {
+			return fmt.Errorf("%s: %w", sec.name, err)
+		}
+		fmt.Fprintf(sink, "[%s done in %v]\n\n", sec.name, time.Since(start).Round(time.Millisecond))
 		if file != nil {
 			file.Close()
 		}
 	}
-	return nil
-}
-
-func (r *runner) table1(w io.Writer) error {
-	rows, err := r.engine.Table1(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
+	if !selected {
+		return fmt.Errorf("unknown experiment %q", exp)
 	}
-	renderTable1(w, rows)
-	return nil
-}
-
-func (r *runner) table2(w io.Writer) error {
-	rows, err := r.engine.Table2(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderTable2(w, rows)
-	return nil
-}
-
-func (r *runner) figs123(w io.Writer) error {
-	rows, err := r.engine.SweepMaxSD(r.ctx, []string{"wl1", "wl2", "wl3", "wl4"}, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderSweep(w, rows)
-	return nil
-}
-
-func (r *runner) figs456(w io.Writer) error {
-	an, err := r.engine.AnalyzeBigWorkload(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderBigHeatmaps(w, an)
-	return nil
-}
-
-func (r *runner) fig7(w io.Writer) error {
-	an, err := r.engine.AnalyzeBigWorkload(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderBigDaily(w, an)
-	return nil
-}
-
-func (r *runner) fig8(w io.Writer) error {
-	rows, err := r.engine.CompareRuntimeModels(r.ctx, []string{"wl1", "wl2", "wl3", "wl4"}, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderModels(w, rows)
-	return nil
-}
-
-func (r *runner) fig9(w io.Writer) error {
-	rep, err := r.engine.RealRunExperiment(r.ctx, r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	renderRealRun(w, rep)
-	return nil
-}
-
-func (r *runner) ablations(w io.Writer) error {
-	var all []sdpolicy.AblationRow
-	sf, err := r.engine.AblateSharingFactor(r.ctx, "wl1", r.scale, r.seed, []float64{0.25, 0.5, 0.75})
-	if err != nil {
-		return err
-	}
-	all = append(all, sf...)
-	mm, err := r.engine.AblateMaxMates(r.ctx, "wl1", r.scale, r.seed, []int{1, 2, 3, 4})
-	if err != nil {
-		return err
-	}
-	all = append(all, mm...)
-	mf, err := r.engine.AblateMalleableFraction(r.ctx, "wl1", r.scale, r.seed, []float64{0, 0.25, 0.5, 0.75, 1})
-	if err != nil {
-		return err
-	}
-	all = append(all, mf...)
-	fn, err := r.engine.AblateFreeNodeMixing(r.ctx, "wl1", r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	all = append(all, fn...)
-	nf, err := r.engine.AblateNodeFeatures(r.ctx, "wl1", r.scale, r.seed, []float64{0, 0.25, 0.5})
-	if err != nil {
-		return err
-	}
-	all = append(all, nf...)
-	pc, err := r.engine.ComparePolicies(r.ctx, "wl1", r.scale, r.seed)
-	if err != nil {
-		return err
-	}
-	all = append(all, pc...)
-	fmt.Fprintln(w, "wl1, normalised to static backfill (lower is better)")
-	renderAblationTable(w, all)
 	return nil
 }

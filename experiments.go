@@ -51,13 +51,7 @@ func SweepMaxSD(workloads []string, scale float64, seed uint64) ([]SweepRow, err
 // engine's worker pool; each workload's baseline simulates once and is
 // shared by its variant rows through the campaign cache.
 func (e *Engine) SweepMaxSD(ctx context.Context, workloads []string, scale float64, seed uint64) ([]SweepRow, error) {
-	v, err := e.Experiment(ctx, "sweep_maxsd", reducer.Params{
-		"workloads": workloads, "scale": scale, "seed": seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]SweepRow), nil
+	return experiment[[]SweepRow](ctx, e, "sweep_maxsd", reducer.Params{"workloads": workloads, "scale": scale, "seed": seed})
 }
 
 // ModelRow is one Figure 8 point: an SD-Policy DynAVGSD run under one
@@ -78,13 +72,7 @@ func CompareRuntimeModels(workloads []string, scale float64, seed uint64) ([]Mod
 // CompareRuntimeModels regenerates Figure 8: SD-Policy with the dynamic
 // cut-off under the ideal and the worst-case runtime models.
 func (e *Engine) CompareRuntimeModels(ctx context.Context, workloads []string, scale float64, seed uint64) ([]ModelRow, error) {
-	v, err := e.Experiment(ctx, "runtime_models", reducer.Params{
-		"workloads": workloads, "scale": scale, "seed": seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]ModelRow), nil
+	return experiment[[]ModelRow](ctx, e, "runtime_models", reducer.Params{"workloads": workloads, "scale": scale, "seed": seed})
 }
 
 // HeatCells is a heatmap cell grid that survives JSON round-trips:
@@ -152,11 +140,7 @@ func AnalyzeBigWorkload(scale float64, seed uint64) (*BigAnalysis, error) {
 // runs execute concurrently and are shared with any other campaign
 // touching the same points (e.g. fig7 after fig4-6 is all cache hits).
 func (e *Engine) AnalyzeBigWorkload(ctx context.Context, scale float64, seed uint64) (*BigAnalysis, error) {
-	v, err := e.Experiment(ctx, "big_workload", reducer.Params{"scale": scale, "seed": seed})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*BigAnalysis), nil
+	return experiment[*BigAnalysis](ctx, e, "big_workload", reducer.Params{"scale": scale, "seed": seed})
 }
 
 // RealRunReport is the Figure 9 comparison on the application workload:
@@ -179,11 +163,20 @@ func RealRunExperiment(scale float64, seed uint64) (*RealRunReport, error) {
 // RealRunExperiment regenerates Figure 9: the wl5 application mix under
 // the contention-aware App runtime model, static vs SD-Policy.
 func (e *Engine) RealRunExperiment(ctx context.Context, scale float64, seed uint64) (*RealRunReport, error) {
-	v, err := e.Experiment(ctx, "real_run", reducer.Params{"scale": scale, "seed": seed})
-	if err != nil {
-		return nil, err
+	return experiment[*RealRunReport](ctx, e, "real_run", reducer.Params{"scale": scale, "seed": seed})
+}
+
+// realRunReport compares an SD run with the static baseline of the same
+// workload: the Figure 9 bars, and the real_trace summary.
+func realRunReport(static, sd *Result) *RealRunReport {
+	return &RealRunReport{
+		Static:         static,
+		SD:             sd,
+		MakespanPct:    improvement(float64(static.Makespan), float64(sd.Makespan)),
+		AvgResponsePct: improvement(static.AvgResponse, sd.AvgResponse),
+		AvgSlowdownPct: improvement(static.AvgSlowdown, sd.AvgSlowdown),
+		EnergyPct:      improvement(static.EnergyKWh, sd.EnergyKWh),
 	}
-	return v.(*RealRunReport), nil
 }
 
 // Table1Row is one workload inventory line of Table 1, with the
@@ -210,11 +203,7 @@ func Table1(scale float64, seed uint64) ([]Table1Row, error) {
 // concurrently and seed the cache for every later experiment that
 // normalises against them.
 func (e *Engine) Table1(ctx context.Context, scale float64, seed uint64) ([]Table1Row, error) {
-	v, err := e.Experiment(ctx, "table1", reducer.Params{"scale": scale, "seed": seed})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]Table1Row), nil
+	return experiment[[]Table1Row](ctx, e, "table1", reducer.Params{"scale": scale, "seed": seed})
 }
 
 // Table2Row is one application line of Table 2.
@@ -233,11 +222,7 @@ func Table2(scale float64, seed uint64) ([]Table2Row, error) {
 // so nothing simulates — but it runs through the same registry path as
 // every other experiment and honours ctx cancellation.
 func (e *Engine) Table2(ctx context.Context, scale float64, seed uint64) ([]Table2Row, error) {
-	v, err := e.Experiment(ctx, "table2", reducer.Params{"scale": scale, "seed": seed})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]Table2Row), nil
+	return experiment[[]Table2Row](ctx, e, "table2", reducer.Params{"scale": scale, "seed": seed})
 }
 
 // table2Rows generates the Table 2 mix; shared by the table2 descriptor.
@@ -264,22 +249,6 @@ type AblationRow struct {
 	Makespan    float64
 }
 
-// ablateExperiment runs one ablation-family descriptor with the list
-// parameter that varies per family. The baseline point is canonically
-// identical across all ablations of the same workload, so it simulates
-// once per engine, not once per sweep.
-func (e *Engine) ablateExperiment(ctx context.Context, exp, name string, scale float64, seed uint64, listName string, list any) ([]AblationRow, error) {
-	params := reducer.Params{"workload": name, "scale": scale, "seed": seed}
-	if listName != "" {
-		params[listName] = list
-	}
-	v, err := e.Experiment(ctx, exp, params)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]AblationRow), nil
-}
-
 // AblateSharingFactor sweeps the SharingFactor on the Default engine.
 func AblateSharingFactor(name string, scale float64, seed uint64, factors []float64) ([]AblationRow, error) {
 	return Default().AblateSharingFactor(context.Background(), name, scale, seed, factors)
@@ -288,7 +257,7 @@ func AblateSharingFactor(name string, scale float64, seed uint64, factors []floa
 // AblateSharingFactor sweeps the SharingFactor (Section 3.3) on the
 // given workload.
 func (e *Engine) AblateSharingFactor(ctx context.Context, name string, scale float64, seed uint64, factors []float64) ([]AblationRow, error) {
-	return e.ablateExperiment(ctx, "ablate_sharing_factor", name, scale, seed, "factors", factors)
+	return experiment[[]AblationRow](ctx, e, "ablate_sharing_factor", reducer.Params{"workload": name, "scale": scale, "seed": seed, "factors": factors})
 }
 
 // AblateMaxMates sweeps the mate combination bound on the Default engine.
@@ -299,7 +268,7 @@ func AblateMaxMates(name string, scale float64, seed uint64, ms []int) ([]Ablati
 // AblateMaxMates sweeps m, the mate combination bound (Section 3.2.4:
 // "we did not see improvements ... increasing m over two").
 func (e *Engine) AblateMaxMates(ctx context.Context, name string, scale float64, seed uint64, ms []int) ([]AblationRow, error) {
-	return e.ablateExperiment(ctx, "ablate_max_mates", name, scale, seed, "mates", ms)
+	return experiment[[]AblationRow](ctx, e, "ablate_max_mates", reducer.Params{"workload": name, "scale": scale, "seed": seed, "mates": ms})
 }
 
 // AblateMalleableFraction sweeps the malleable share on the Default engine.
@@ -311,7 +280,7 @@ func AblateMalleableFraction(name string, scale float64, seed uint64, fracs []fl
 // rigid/malleable workload (Section 1: SD-Policy "supports mixed
 // workloads ... ideal for being used in transition").
 func (e *Engine) AblateMalleableFraction(ctx context.Context, name string, scale float64, seed uint64, fracs []float64) ([]AblationRow, error) {
-	return e.ablateExperiment(ctx, "ablate_malleable_fraction", name, scale, seed, "fractions", fracs)
+	return experiment[[]AblationRow](ctx, e, "ablate_malleable_fraction", reducer.Params{"workload": name, "scale": scale, "seed": seed, "fractions": fracs})
 }
 
 // AblateNodeFeatures sweeps the constrained-job share on the Default
@@ -327,7 +296,7 @@ func AblateNodeFeatures(name string, scale float64, seed uint64, fracs []float64
 // constrains the jobs, so the whole heterogeneous sweep is expressible
 // over /v1/campaigns and shares one generated base workload.
 func (e *Engine) AblateNodeFeatures(ctx context.Context, name string, scale float64, seed uint64, fracs []float64) ([]AblationRow, error) {
-	return e.ablateExperiment(ctx, "ablate_node_features", name, scale, seed, "fractions", fracs)
+	return experiment[[]AblationRow](ctx, e, "ablate_node_features", reducer.Params{"workload": name, "scale": scale, "seed": seed, "fractions": fracs})
 }
 
 // ComparePolicies compares the three policies on the Default engine.
@@ -341,7 +310,7 @@ func ComparePolicies(name string, scale float64, seed uint64) ([]AblationRow, er
 // static backfill; the static row doubles as the baseline and
 // simulates only once thanks to point canonicalisation.
 func (e *Engine) ComparePolicies(ctx context.Context, name string, scale float64, seed uint64) ([]AblationRow, error) {
-	return e.ablateExperiment(ctx, "compare_policies", name, scale, seed, "", nil)
+	return experiment[[]AblationRow](ctx, e, "compare_policies", reducer.Params{"workload": name, "scale": scale, "seed": seed})
 }
 
 // AblateFreeNodeMixing compares mate selection with and without free
@@ -353,7 +322,7 @@ func AblateFreeNodeMixing(name string, scale float64, seed uint64) ([]AblationRo
 // AblateFreeNodeMixing compares mate selection with and without the
 // IncludeFreeNodes option (Section 3.2.4).
 func (e *Engine) AblateFreeNodeMixing(ctx context.Context, name string, scale float64, seed uint64) ([]AblationRow, error) {
-	return e.ablateExperiment(ctx, "ablate_free_node_mixing", name, scale, seed, "", nil)
+	return experiment[[]AblationRow](ctx, e, "ablate_free_node_mixing", reducer.Params{"workload": name, "scale": scale, "seed": seed})
 }
 
 func ablation(param, value string, res, base *Result) AblationRow {

@@ -2,6 +2,7 @@ package sdpolicy
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -12,11 +13,12 @@ import (
 // The experiment registry: every figure- and table-level experiment of
 // the paper as a declarative reducer descriptor — a parameterised
 // point-set generator plus an incremental fold turning streamed
-// PointResults into rows and a terminal summary. One registry drives
-// both the typed Engine helpers below (Engine.Experiment folds a local
-// campaign) and the sdserve /v1/experiments plane (the server folds
-// journaled result frames and ships rows + summary instead of raw
-// points), so the two can never drift apart.
+// PointResults into rows and a terminal summary, whose Go type the
+// descriptor's Decode names. One registry drives the typed Engine
+// helpers (Engine.Experiment folds a local campaign), sdexp's -exp
+// sections and -experiment mode, and the sdserve /v1/experiments plane
+// (the server folds journaled result frames and ships rows + summary
+// instead of raw points), so none of them can drift apart.
 
 // ExperimentDescriptor is the registry's concrete descriptor type.
 type ExperimentDescriptor = reducer.Descriptor[Point, *Result]
@@ -63,6 +65,28 @@ func (e *Engine) Experiment(ctx context.Context, name string, params reducer.Par
 	return inst.Summary()
 }
 
+// experiment runs the named registry experiment on e and returns its
+// summary as T, the type its descriptor decodes to. Every typed Engine
+// helper is this call.
+func experiment[T any](ctx context.Context, e *Engine, name string, params reducer.Params) (T, error) {
+	v, err := e.Experiment(ctx, name, params)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+// decodeSummary is a descriptor's Decode: it decodes the JSON encoding
+// of a summary into T, the type the descriptor's Summary returns.
+func decodeSummary[T any](data []byte) (any, error) {
+	var v T
+	if err := json.Unmarshal(data, &v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 // Shared parameter specs. Scale and seed default to the sdexp
 // conventions (0.1 keeps the full suite in the minutes range; -scale 1
 // reproduces the paper's workload sizes).
@@ -93,6 +117,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Name:   "table1",
 		Title:  "Table 1: workload inventory + static baseline aggregates",
 		Params: []reducer.ParamSpec{scaleParam(), seedParam()},
+		Decode: decodeSummary[[]Table1Row],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			return table1Instance(p.Float("scale"), p.Uint("seed")), nil
 		},
@@ -102,6 +127,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Title:       "Table 2: real-run application mix",
 		Description: "generation only — no simulation points",
 		Params:      []reducer.ParamSpec{scaleParam(), seedParam()},
+		Decode:      decodeSummary[[]Table2Row],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			return table2Instance(p.Float("scale"), p.Uint("seed")), nil
 		},
@@ -110,6 +136,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Name:   "sweep_maxsd",
 		Title:  "Figures 1-3: makespan/response/slowdown vs MAX_SLOWDOWN",
 		Params: []reducer.ParamSpec{workloadsParam(), scaleParam(), seedParam()},
+		Decode: decodeSummary[[]SweepRow],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			if len(p.Strings("workloads")) == 0 {
 				return nil, errors.New("missing workloads")
@@ -121,6 +148,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Name:   "runtime_models",
 		Title:  "Figure 8: DynAVGSD under the ideal vs worst-case runtime model",
 		Params: []reducer.ParamSpec{workloadsParam(), scaleParam(), seedParam()},
+		Decode: decodeSummary[[]ModelRow],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			return modelsInstance(p.Strings("workloads"), p.Float("scale"), p.Uint("seed")), nil
 		},
@@ -131,6 +159,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Description:  "category heatmaps and per-day series; needs per-job reports",
 		Params:       []reducer.ParamSpec{scaleParam(), seedParam()},
 		NeedsReports: true,
+		Decode:       decodeSummary[*BigAnalysis],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			return bigWorkloadInstance(p.Float("scale"), p.Uint("seed")), nil
 		},
@@ -139,6 +168,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Name:   "real_run",
 		Title:  "Figure 9: real-run emulation (application model + energy)",
 		Params: []reducer.ParamSpec{scaleParam(), seedParam()},
+		Decode: decodeSummary[*RealRunReport],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			return realRunInstance(p.Float("scale"), p.Uint("seed")), nil
 		},
@@ -161,6 +191,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 			{Name: "max_slowdown", Type: reducer.TypeFloat, Default: 10.0,
 				Description: "SD variant's MAX_SLOWDOWN cut-off"},
 		},
+		Decode: decodeSummary[*RealRunReport],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			return realTraceInstance(p)
 		},
@@ -171,6 +202,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam(),
 			{Name: "factors", Type: reducer.TypeFloats, Default: []float64{0.25, 0.5, 0.75},
 				Description: "SharingFactor values swept"}},
+		Decode: decodeSummary[[]AblationRow],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
 			factors := p.Floats("factors")
@@ -186,6 +218,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam(),
 			{Name: "mates", Type: reducer.TypeInts, Default: []int{1, 2, 3, 4},
 				Description: "m, the mate combination bound values swept"}},
+		Decode: decodeSummary[[]AblationRow],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
 			ms := p.Ints("mates")
@@ -204,6 +237,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam(),
 			{Name: "fractions", Type: reducer.TypeFloats, Default: []float64{0, 0.25, 0.5, 0.75, 1},
 				Description: "malleable job fractions swept"}},
+		Decode: decodeSummary[[]AblationRow],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
 			fracs := p.Floats("fractions")
@@ -222,6 +256,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam(),
 			{Name: "fractions", Type: reducer.TypeFloats, Default: []float64{0, 0.25, 0.5},
 				Description: "constrained job fractions swept"}},
+		Decode: decodeSummary[[]AblationRow],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			const feature = "bigmem"
 			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
@@ -238,6 +273,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Name:   "ablate_free_node_mixing",
 		Title:  "Ablation: mate selection with and without free nodes",
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam()},
+		Decode: decodeSummary[[]AblationRow],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
 			mixes := []bool{false, true}
@@ -254,6 +290,7 @@ func newExperimentRegistry() *reducer.Registry[Point, *Result] {
 		Name:   "compare_policies",
 		Title:  "Policy comparison: static backfill vs oversubscription vs SD-Policy",
 		Params: []reducer.ParamSpec{workloadParam(), scaleParam(), seedParam()},
+		Decode: decodeSummary[[]AblationRow],
 		New: func(p reducer.Params) (ExperimentInstance, error) {
 			name, scale, seed := p.String("workload"), p.Float("scale"), p.Uint("seed")
 			policies := []string{"static", "oversubscribe", "sd"}
@@ -477,24 +514,16 @@ func bigWorkloadInstance(scale float64, seed uint64) *expInstance {
 }
 
 func realRunInstance(scale float64, seed uint64) *expInstance {
-	x := &expInstance{
-		points: []Point{
-			NewPoint("wl5", scale, seed, Options{Policy: "static", Model: "app"}),
-			NewPoint("wl5", scale, seed, Options{Policy: "sd", DynamicCutoff: "avg", Model: "app"}),
-		},
-		results: make([]*Result, 2),
-	}
-	x.summary = func() (any, error) {
-		static, sd := x.results[0], x.results[1]
-		return &RealRunReport{
-			Static:         static,
-			SD:             sd,
-			MakespanPct:    improvement(float64(static.Makespan), float64(sd.Makespan)),
-			AvgResponsePct: improvement(static.AvgResponse, sd.AvgResponse),
-			AvgSlowdownPct: improvement(static.AvgSlowdown, sd.AvgSlowdown),
-			EnergyPct:      improvement(static.EnergyKWh, sd.EnergyKWh),
-		}, nil
-	}
+	return realRunPair(
+		NewPoint("wl5", scale, seed, Options{Policy: "static", Model: "app"}),
+		NewPoint("wl5", scale, seed, Options{Policy: "sd", DynamicCutoff: "avg", Model: "app"}))
+}
+
+// realRunPair folds a static run and an SD run of the same workload
+// into their RealRunReport.
+func realRunPair(static, sd Point) *expInstance {
+	x := &expInstance{points: []Point{static, sd}, results: make([]*Result, 2)}
+	x.summary = func() (any, error) { return realRunReport(x.results[0], x.results[1]), nil }
 	return x
 }
 
@@ -514,30 +543,16 @@ func realTraceInstance(p reducer.Params) (*expInstance, error) {
 	if class := p.String("qos_class"); class != "" {
 		derivs = append(derivs, AssignQoSDerivation(class, p.Float("qos_fraction")))
 	}
-	x := &expInstance{
-		points: []Point{
-			NewDerivedPoint(name, 1, 1, Options{Policy: "static"}, derivs...),
-			NewDerivedPoint(name, 1, 1, Options{Policy: "sd", MaxSlowdown: p.Float("max_slowdown")}, derivs...),
-		},
-		results: make([]*Result, 2),
-	}
-	x.summary = func() (any, error) {
-		static, sd := x.results[0], x.results[1]
-		return &RealRunReport{
-			Static:         static,
-			SD:             sd,
-			MakespanPct:    improvement(float64(static.Makespan), float64(sd.Makespan)),
-			AvgResponsePct: improvement(static.AvgResponse, sd.AvgResponse),
-			AvgSlowdownPct: improvement(static.AvgSlowdown, sd.AvgSlowdown),
-			EnergyPct:      improvement(static.EnergyKWh, sd.EnergyKWh),
-		}, nil
-	}
-	return x, nil
+	return realRunPair(
+		NewDerivedPoint(name, 1, 1, Options{Policy: "static"}, derivs...),
+		NewDerivedPoint(name, 1, 1, Options{Policy: "sd", MaxSlowdown: p.Float("max_slowdown")}, derivs...)), nil
 }
 
 // ablateInstance folds one design-choice sweep: points[0] is the
 // static baseline, points[1+i] the variant labelled values[i]; every
-// row normalises its variant against the baseline.
+// row normalises its variant against the baseline. The baseline point
+// is canonically identical across all ablations of the same workload,
+// so it simulates once per engine, not once per sweep.
 func ablateInstance(param, name string, scale float64, seed uint64, values []string, variant func(i int) Point) *expInstance {
 	points := []Point{NewPoint(name, scale, seed, Options{Policy: "static"})}
 	for i := range values {

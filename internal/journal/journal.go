@@ -111,12 +111,15 @@ func Open(dir string) (*Journal, error) {
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
+// MaxIDLen bounds a campaign ID's length.
+const MaxIDLen = 64
+
 // ValidateID rejects campaign IDs that cannot safely name a journal
-// file: 1..64 chars drawn from [A-Za-z0-9._-], the same alphabet the
-// serving layer accepts for X-Campaign-ID.
+// file: 1..MaxIDLen chars drawn from [A-Za-z0-9._-]. The serving layer
+// accepts exactly these for X-Campaign-ID.
 func ValidateID(id string) error {
-	if id == "" || len(id) > 64 {
-		return fmt.Errorf("journal: campaign ID %q must be 1..64 characters", id)
+	if id == "" || len(id) > MaxIDLen {
+		return fmt.Errorf("journal: campaign ID %q must be 1..%d characters", id, MaxIDLen)
 	}
 	for i := 0; i < len(id); i++ {
 		c := id[i]

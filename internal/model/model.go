@@ -193,9 +193,6 @@ func (p *Progress) SetRate(now int64, r float64) {
 	p.rate = r
 }
 
-// Rate returns the current rate.
-func (p *Progress) Rate() float64 { return p.rate }
-
 // Done returns the completed work in rate-1 seconds as of time now.
 func (p *Progress) Done(now int64) float64 {
 	return p.doneAt(now)

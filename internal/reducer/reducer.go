@@ -235,6 +235,10 @@ type Descriptor[P, R any] struct {
 	// experiment with a campaign must ask for them, and attach each to
 	// its result before Fold.
 	NeedsReports bool
+	// Decode decodes the JSON encoding of a Summary into the type
+	// Summary returns, so a summary that crossed the wire reads as a
+	// local one.
+	Decode func([]byte) (any, error)
 	// New builds a fold instance from a fully resolved parameter set
 	// (see Resolve); it must not assume defaults were applied by anyone
 	// else.

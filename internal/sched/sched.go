@@ -138,15 +138,6 @@ func NewScheduler(eng *sim.Engine, cfg Config, machine cluster.Config) *Schedule
 	return s
 }
 
-// Cluster exposes the cluster for inspection in tests.
-func (s *Scheduler) Cluster() *cluster.Cluster { return s.cl }
-
-// DROMStats returns the registry traffic counters.
-func (s *Scheduler) DROMStats() drom.Stats { return s.reg.Stats() }
-
-// Passes returns how many scheduling passes ran.
-func (s *Scheduler) Passes() uint64 { return s.passes }
-
 // Submit schedules the arrival of a job at its submit time.
 func (s *Scheduler) Submit(j *job.Job) error {
 	if err := j.Validate(); err != nil {

@@ -182,6 +182,7 @@ func TestCampaignBadRequests(t *testing.T) {
 		"no workload":   `{"points":[{"options":{}}]}`,
 		"bad fraction":  `{"points":[{"workload":"wl1","malleable_fraction":2,"options":{}}]}`,
 		"unknown field": `{"points":[{"workload":"wl1","options":{}}],"bogus":1}`,
+		"second value":  `{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{}}]}{"points":[]}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp := postJSON(t, srv.URL+"/v1/campaigns", body)
@@ -190,6 +191,16 @@ func TestCampaignBadRequests(t *testing.T) {
 			}
 		})
 	}
+	// A body over the 1 MiB cap is a 413, which clients must not retry.
+	t.Run("over 1 MiB", func(t *testing.T) {
+		point := `{"workload":"wl5","scale":0.15,"seed":1,"options":{}}`
+		body := `{"points":[` + point + strings.Repeat(","+point, (1<<20)/len(point)) + `]}`
+		resp := postJSON(t, srv.URL+"/v1/campaigns", body)
+		var env ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != "too_large" {
+			t.Fatalf("status %d, envelope %+v (%v), want 413 too_large", resp.StatusCode, env, err)
+		}
+	})
 	// The stream encoding is chosen per attach, so an unknown one is the
 	// attach's 400.
 	t.Run("bad format", func(t *testing.T) {

@@ -81,6 +81,40 @@ type CreateCampaignResponse struct {
 	ID string `json:"id"`
 }
 
+// campaignOptions are a campaign's create-record fields after its
+// points: the stream options of CreateCampaignRequest and, for a
+// campaign that backs an experiment, the experiment's name and resolved
+// parameters. A journaled create record and a coordinator's shard body
+// are {"points":[...]} followed by these fields (pointsObject).
+type campaignOptions struct {
+	Reports    bool                       `json:"reports,omitempty"`
+	Trace      bool                       `json:"trace,omitempty"`
+	Experiment string                     `json:"experiment,omitempty"`
+	Params     map[string]json.RawMessage `json:"params,omitempty"`
+}
+
+// cancelledFrame and errorFrame are the terminal frames that campaign
+// and experiment streams share.
+type cancelledFrame struct {
+	Seq       uint64 `json:"seq"`
+	Cancelled bool   `json:"cancelled"`
+}
+
+type errorFrame struct {
+	Seq   uint64      `json:"seq"`
+	Error ErrorDetail `json:"error"`
+}
+
+// errorFrameDetail decodes the detail of an error frame; ok is false
+// when data holds no error message.
+func errorFrameDetail(data []byte) (detail ErrorDetail, ok bool) {
+	var f errorFrame
+	if json.Unmarshal(data, &f) != nil || f.Error.Message == "" {
+		return ErrorDetail{}, false
+	}
+	return f.Error, true
+}
+
 // CampaignStatus is the GET /v1/campaigns/{id}/status reply.
 type CampaignStatus struct {
 	ID    string `json:"id"`
@@ -120,14 +154,12 @@ type campaignState struct {
 	// wire holds each point's JSON encoding, made once when the state is
 	// built; result frames, shard bodies and the journal create record
 	// splice these bytes instead of encoding the point again.
-	wire    [][]byte
-	reports bool
-	trace   bool
-	// experiment, when non-empty, names the registry experiment this
-	// campaign backs; expParams is its resolved parameter set, used to
-	// build a fresh fold instance per /v1/experiments/{id} attach.
-	experiment string
-	expParams  reducer.Params
+	wire [][]byte
+	campaignOptions
+	// expParams is the parameter set of the experiment the campaign
+	// backs (Experiment), used to build a fresh fold instance per
+	// /v1/experiments/{id} attach.
+	expParams reducer.Params
 	// begin is when the (most recent) runner started, for the
 	// experiment duration histogram.
 	begin time.Time
@@ -157,13 +189,12 @@ func newCampaignState(id string, points []sdpolicy.Point, reports, trace bool) (
 		}
 	}
 	return &campaignState{
-		id:      id,
-		points:  points,
-		wire:    wire,
-		reports: reports,
-		trace:   trace,
-		state:   campaignRunning,
-		wake:    make(chan struct{}),
+		id:              id,
+		points:          points,
+		wire:            wire,
+		campaignOptions: campaignOptions{Reports: reports, Trace: trace},
+		state:           campaignRunning,
+		wake:            make(chan struct{}),
 	}, nil
 }
 
@@ -398,36 +429,29 @@ func (s *Server) recoverCampaign(id string) (cs *campaignState, remaining []int,
 	if err != nil {
 		return nil, nil, false, err
 	}
-	var req struct {
-		CreateCampaignRequest
-		// Experiment-backed campaigns journal two extra fields (see
-		// experimentCreateRecord); plain campaigns leave them empty.
-		Experiment string                     `json:"experiment"`
-		Params     map[string]json.RawMessage `json:"params"`
+	var rec struct {
+		Points []sdpolicy.PointSpec `json:"points"`
+		campaignOptions
 	}
-	if err := json.Unmarshal(recs[0].Data, &req); err != nil {
+	if err := json.Unmarshal(recs[0].Data, &rec); err != nil {
 		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
-	points, err := sdpolicy.PointsFromSpecs(req.Points)
+	points, err := sdpolicy.PointsFromSpecs(rec.Points)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
-	if cs, err = newCampaignState(id, points, req.Reports, req.Trace); err != nil {
+	if cs, err = newCampaignState(id, points, rec.Reports, rec.Trace); err != nil {
 		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
-	if req.Experiment != "" {
+	if rec.Experiment != "" {
 		// Re-resolve the journaled parameters so attaches can rebuild the
 		// fold. A registry drift (renamed experiment, changed parameter)
 		// degrades the resource to a plain campaign rather than losing it.
-		if d := sdpolicy.Experiments().Get(req.Experiment); d == nil {
-			slog.Warn("journal: recovered campaign names unknown experiment; serving as plain campaign",
-				"campaign_id", id, "experiment", req.Experiment)
-		} else if params, err := reducer.ResolveJSON(d.Params, req.Params); err != nil {
-			slog.Warn("journal: recovered experiment parameters no longer resolve; serving as plain campaign",
-				"campaign_id", id, "experiment", req.Experiment, "err", err)
+		if _, cs.expParams, err = resolveExperiment(rec.Experiment, rec.Params); err != nil {
+			slog.Warn("journal: recovered experiment no longer resolves; serving as plain campaign",
+				"campaign_id", id, "err", err)
 		} else {
-			cs.experiment = req.Experiment
-			cs.expParams = params
+			cs.Experiment, cs.Params = rec.Experiment, rec.Params
 		}
 	}
 	var done []int
@@ -446,11 +470,8 @@ func (s *Server) recoverCampaign(id string) (cs *campaignState, remaining []int,
 			cs.state = campaignCancelled
 		case journal.KindError:
 			cs.state = campaignFailed
-			var v struct {
-				Error ErrorDetail `json:"error"`
-			}
-			if json.Unmarshal(rec.Data, &v) == nil {
-				cs.errMsg = v.Error.Message
+			if detail, ok := errorFrameDetail(rec.Data); ok {
+				cs.errMsg = detail.Message
 			}
 		}
 	}
@@ -501,50 +522,46 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if !s.resources.add(cs) {
-		writeCampaignError(w, http.StatusConflict, id,
-			fmt.Errorf("campaign %s already exists; attach with GET /v1/campaigns/%s", id, id))
-		return
-	}
-	if !s.journalCreate(w, cs, struct {
-		Reports bool `json:"reports,omitempty"`
-		Trace   bool `json:"trace,omitempty"`
-	}{cs.reports, cs.trace}) {
-		return
-	}
-	mCampaignsCreated.Inc()
-	s.startCampaign(cs, nil)
-	w.Header().Set("X-Campaign-ID", id)
-	w.Header().Set("Location", "/v1/campaigns/"+id)
-	writeJSON(w, http.StatusCreated, CreateCampaignResponse{ID: id})
+	s.create(w, cs, "/v1/campaigns", CreateCampaignResponse{ID: id})
 }
 
-// journalCreate write-ahead journals the create record for a freshly
-// registered campaign: the record (the campaign's full point list in
-// its wire encoding, then rest's fields: the stream options and, for
-// an experiment, its binding) lands before any work is dispatched, so
-// a crash at any later instant leaves a resumable journal. On failure
-// it unregisters the campaign, replies with the envelope, and returns
-// false. A no-op without EnableJournal.
-func (s *Server) journalCreate(w http.ResponseWriter, cs *campaignState, rest any) bool {
-	if s.journal == nil {
-		return true
+// create is the one create path of campaign and experiment resources:
+// it registers cs, write-ahead journals its create record (its points'
+// wire encoding, then its options), starts it detached from the request
+// and replies 201 with reply, the Location naming cs under collection.
+// The create record lands before any work is dispatched, so a crash at
+// any later instant leaves a resumable journal; if it cannot be
+// written, cs is unregistered and the reply is the envelope.
+func (s *Server) create(w http.ResponseWriter, cs *campaignState, collection string, reply any) {
+	if !s.resources.add(cs) {
+		writeCampaignError(w, http.StatusConflict, cs.id,
+			fmt.Errorf("campaign %s already exists; attach with GET %s/%s", cs.id, collection, cs.id))
+		return
 	}
-	create, err := pointsObject(cs.wire, rest)
-	if err == nil {
-		cs.w, err = s.journal.Create(cs.id, create)
-	}
-	if err != nil {
-		s.resources.remove(cs.id)
-		status := http.StatusInternalServerError
-		if errors.Is(err, journal.ErrExists) {
-			status = http.StatusConflict
+	if s.journal != nil {
+		record, err := pointsObject(cs.wire, cs.campaignOptions)
+		if err == nil {
+			cs.w, err = s.journal.Create(cs.id, record)
 		}
-		writeCampaignError(w, status, cs.id, err)
-		return false
+		if err != nil {
+			s.resources.remove(cs.id)
+			status := http.StatusInternalServerError
+			if errors.Is(err, journal.ErrExists) {
+				status = http.StatusConflict
+			}
+			writeCampaignError(w, status, cs.id, err)
+			return
+		}
+		mJournalRecords.Inc()
 	}
-	mJournalRecords.Inc()
-	return true
+	mCampaignsCreated.Inc()
+	if cs.Experiment != "" {
+		mExperimentsStarted.With(cs.Experiment).Inc()
+	}
+	s.startCampaign(cs, nil)
+	w.Header().Set("X-Campaign-ID", cs.id)
+	w.Header().Set("Location", collection+"/"+cs.id)
+	writeJSON(w, http.StatusCreated, reply)
 }
 
 // errStandby is the transient refusal while the lease is not held.
@@ -687,7 +704,7 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 	// A nil recorder records nothing, so untraced campaigns pay only nil
 	// checks.
 	var tr *traceRecorder
-	if cs.trace {
+	if cs.Trace {
 		tr = newTraceRecorder()
 	}
 	if len(remaining) == 0 {
@@ -732,7 +749,7 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 	}
 	if s.coord != nil {
 		run = func(ctx context.Context, pts []sdpolicy.Point, updates chan<- sdpolicy.PointResult) error {
-			return s.coord.run(ctx, pts, wire, updates, cs.reports, cs.id, tr)
+			return s.coord.run(ctx, pts, wire, updates, cs.Reports, cs.id, tr)
 		}
 	}
 	go func() { errc <- run(ctx, pts, updates) }()
@@ -741,7 +758,7 @@ func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, cs 
 		// the campaign's original position, so resumed frames carry the
 		// same indices an uninterrupted run would have.
 		pos := remaining[u.Index]
-		if cs.reports && s.coord == nil {
+		if cs.Reports && s.coord == nil {
 			// A report holds no floats, so it always encodes.
 			u.Report, _ = u.Result.ReportJSON()
 		}
@@ -798,10 +815,7 @@ func (s *Server) finishCampaign(cs *campaignState, err error, tr *traceRecorder)
 		observeExperiment(cs, campaignDone)
 	case cancelled:
 		s.appendTerminal(cs, journal.KindCancelled, campaignCancelled, func(seq uint64) ([]byte, error) {
-			return json.Marshal(struct {
-				Seq       uint64 `json:"seq"`
-				Cancelled bool   `json:"cancelled"`
-			}{seq, true})
+			return json.Marshal(cancelledFrame{seq, true})
 		})
 		observeExperiment(cs, campaignCancelled)
 	default:
@@ -812,15 +826,15 @@ func (s *Server) finishCampaign(cs *campaignState, err error, tr *traceRecorder)
 // observeExperiment records the terminal outcome of an experiment-backed
 // campaign; a no-op for plain campaigns.
 func observeExperiment(cs *campaignState, outcome string) {
-	if cs.experiment == "" {
+	if cs.Experiment == "" {
 		return
 	}
-	mExperimentsCompleted.With(cs.experiment, outcome).Inc()
+	mExperimentsCompleted.With(cs.Experiment, outcome).Inc()
 	cs.mu.Lock()
 	begin := cs.begin
 	cs.mu.Unlock()
 	if !begin.IsZero() {
-		mExperimentSeconds.With(cs.experiment).Observe(time.Since(begin).Seconds())
+		mExperimentSeconds.With(cs.Experiment).Observe(time.Since(begin).Seconds())
 	}
 }
 
@@ -830,10 +844,7 @@ func (s *Server) appendErrorTerminal(cs *campaignState, err error) {
 		status = http.StatusBadRequest
 	}
 	s.appendTerminal(cs, journal.KindError, campaignFailed, func(seq uint64) ([]byte, error) {
-		return json.Marshal(struct {
-			Seq   uint64      `json:"seq"`
-			Error ErrorDetail `json:"error"`
-		}{seq, ErrorDetail{Code: errorCode(status), Message: err.Error(), CampaignID: cs.id}})
+		return json.Marshal(errorFrame{seq, ErrorDetail{Code: errorCode(status), Message: err.Error(), CampaignID: cs.id}})
 	})
 	cs.mu.Lock()
 	cs.errMsg = err.Error()

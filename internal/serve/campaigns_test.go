@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,11 +15,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sdpolicy"
 	"sdpolicy/internal/journal"
+	"sdpolicy/internal/reducer"
 )
 
 // campaignPoints are four distinct canonical points (different seeds),
@@ -533,6 +537,77 @@ func TestJournalCreateRecordHoldsWireEncoding(t *testing.T) {
 	fresh, resumed := attachLines(t, srv.URL, id, 0), attachLines(t, srv.URL, "request-spelling", 0)
 	if strings.Join(fresh, "\n") != strings.Join(resumed, "\n") {
 		t.Fatalf("resumed frames\n%s\nwant the fresh campaign's\n%s", strings.Join(resumed, "\n"), strings.Join(fresh, "\n"))
+	}
+
+	// The options after the points keep their spelling: in the create
+	// record of a report, traced campaign, in an experiment's, and in
+	// the body of a coordinator's shard of a report campaign.
+	const point = `{"workload":"wl5","scale":0.15,"options":{"policy":"sd","max_slowdown":10}}`
+	const wirePoint = `{"workload":"wl5","scale":0.15,"seed":1,"options":{"policy":"sd","max_slowdown":10}}`
+	createRecord := func(id string) string {
+		t.Helper()
+		recs, err := j.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(recs[0].Data)
+	}
+	traced := createCampaign(t, srv.URL, "reports-trace", `{"points":[`+point+`],"reports":true,"trace":true}`)
+	waitCampaignState(t, srv.URL, traced, campaignDone)
+	experiment := createExperiment(t, srv.URL, "big_workload", reducer.Params{"scale": 0.02})
+	attachExperimentLines(t, srv.URL, experiment, 0)
+
+	var mu sync.Mutex
+	var shardBodies []string
+	worker := New(sdpolicy.NewEngine(1, 0), 4).Handler()
+	workerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/campaigns" {
+			body, _ := io.ReadAll(r.Body)
+			mu.Lock()
+			shardBodies = append(shardBodies, string(body))
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		worker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(workerSrv.Close)
+	coord := startCoordinator(t, []string{workerSrv.URL})
+	runCampaign(t, coord.URL, `{"points":[`+point+`],"reports":true}`, 1)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(shardBodies) != 1 {
+		t.Fatalf("the coordinator created %d shards, want 1", len(shardBodies))
+	}
+	for _, c := range []struct{ what, got, want string }{
+		{"report, traced campaign's create record", createRecord(traced),
+			`{"points":[` + wirePoint + `],"reports":true,"trace":true}`},
+		{"experiment's create record", createRecord(experiment),
+			`{"points":[{"workload":"wl4","scale":0.02,"seed":1,"options":{"policy":"static"}},` +
+				`{"workload":"wl4","scale":0.02,"seed":1,"options":{"policy":"sd","max_slowdown":10}}],` +
+				`"reports":true,"experiment":"big_workload","params":{"scale":0.02,"seed":1}}`},
+		{"shard body", shardBodies[0], `{"points":[` + wirePoint + `],"reports":true}`},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s\n%s\nwant\n%s", c.what, c.got, c.want)
+		}
+	}
+}
+
+// TestDurableClientStopsOnTooLarge: a create refused with 413 is
+// refused again on every retry, so the client gives up after one.
+func TestDurableClientStopsOnTooLarge(t *testing.T) {
+	var creates atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		creates.Add(1)
+		writeError(w, http.StatusRequestEntityTooLarge, errors.New("http: request body too large"))
+	}))
+	t.Cleanup(srv.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := RunDurableCampaign(ctx, nil, []string{srv.URL}, campaignTestPoints(t), false,
+		func(int, *sdpolicy.Result, json.RawMessage) error { return nil })
+	if httpStatus(err) != http.StatusRequestEntityTooLarge || creates.Load() != 1 {
+		t.Fatalf("%d creates, error %v; want one create and its 413", creates.Load(), err)
 	}
 }
 

@@ -136,8 +136,8 @@ const (
 // ?from= cursor, handing every seq'd frame to onFrame, until the
 // terminal done frame. On a disconnect, shutdown frame or coordinator
 // failover it reattaches — to any base — from the last seq. It gives up
-// on deterministic failures (a create refused with 400, 404, 405 or
-// 415, a bad cursor, the resource's own error or cancellation, an
+// on deterministic failures (a create refused with 400, 404, 405, 413
+// or 415, a bad cursor, the resource's own error or cancellation, an
 // onFrame error) or after durableMaxFailures consecutive transient ones.
 func runResource(ctx context.Context, client *http.Client, bases []string, collection string, body any, onFrame func(streamFrame) error) error {
 	if client == nil {
@@ -163,7 +163,8 @@ func runResource(ctx context.Context, client *http.Client, bases []string, colle
 				_, err := createResource(ctx, client, bases[cur], collection, id, data)
 				switch httpStatus(err) {
 				case http.StatusConflict:
-				case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusUnsupportedMediaType:
+				case http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed,
+					http.StatusRequestEntityTooLarge, http.StatusUnsupportedMediaType:
 					return &fatalStreamError{err}
 				default:
 					if err != nil {
@@ -251,9 +252,9 @@ func (e *fatalStreamError) Unwrap() error { return e.err }
 func RunDurableCampaign(ctx context.Context, client *http.Client, bases []string, points []sdpolicy.Point, reports bool, emit func(index int, res *sdpolicy.Result, report json.RawMessage) error) error {
 	seen := make(map[int]bool)
 	body := struct {
-		Points  []sdpolicy.Point `json:"points"`
-		Reports bool             `json:"reports,omitempty"`
-	}{points, reports}
+		Points []sdpolicy.Point `json:"points"`
+		campaignOptions
+	}{points, campaignOptions{Reports: reports}}
 	return runResource(ctx, client, bases, "/v1/campaigns", body, func(f streamFrame) error {
 		if f.Index == nil || seen[*f.Index] {
 			return nil

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sdpolicy"
+	"sdpolicy/internal/journal"
 )
 
 // coordinator fans campaigns out to an elastic fleet of worker sdserve
@@ -38,7 +39,6 @@ type coordinator struct {
 	client          *http.Client
 	shardsPerWorker int
 	probeInterval   time.Duration
-	probeTimeout    time.Duration
 	leaseTTL        time.Duration
 	engine          *sdpolicy.Engine
 }
@@ -62,7 +62,6 @@ func newCoordinator(cfg CoordinatorConfig, engine *sdpolicy.Engine) (*coordinato
 		client:          client,
 		shardsPerWorker: cfg.ShardsPerWorker,
 		probeInterval:   cfg.ProbeInterval,
-		probeTimeout:    cfg.ProbeTimeout,
 		leaseTTL:        cfg.LeaseTTL,
 		engine:          engine,
 	}
@@ -71,9 +70,6 @@ func newCoordinator(cfg CoordinatorConfig, engine *sdpolicy.Engine) (*coordinato
 	}
 	if c.probeInterval <= 0 {
 		c.probeInterval = time.Second
-	}
-	if c.probeTimeout <= 0 {
-		c.probeTimeout = 2 * time.Second
 	}
 	if c.leaseTTL <= 0 {
 		c.leaseTTL = 30 * time.Second
@@ -106,7 +102,7 @@ func (c *coordinator) probeLoop(stop <-chan struct{}) {
 // set. Any 200 counts as alive — the probe asks "is the process up",
 // not "is it idle".
 func (c *coordinator) probe(u string) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u+"/healthz", nil)
 	if err != nil {
@@ -365,9 +361,7 @@ func (c *coordinator) runShard(ctx context.Context, workerURL string, job shardJ
 	}
 	prime := c.engine != nil && c.engine.PersistsCache()
 	reports := wantReports || prime
-	body, err := pointsObject(wire, struct {
-		Reports bool `json:"reports,omitempty"`
-	}{reports})
+	body, err := pointsObject(wire, campaignOptions{Reports: reports})
 	if err != nil {
 		return job, err, verdictFatal
 	}
@@ -533,15 +527,15 @@ func uintToken(tok []byte) (uint64, bool) {
 	return n, err == nil && bytes.Equal(strconv.AppendUint(spell[:0], n, 10), tok)
 }
 
-// workerVerdict classifies a failed shard create or attach. A 400 is
-// deterministic — every worker would reject the same points — so it
-// fails the campaign. 429/503 mean the worker is up but refusing work
-// (slot exhaustion, shutdown drain, standby): requeue and keep probing,
-// it usually clears in seconds. Anything else (transport errors, 5xx,
-// proxies) retires the worker to the prober.
+// workerVerdict classifies a failed shard create or attach. A 400 or
+// 413 is deterministic — every worker would reject the same points —
+// so it fails the campaign. 429/503 mean the worker is up but refusing
+// work (slot exhaustion, shutdown drain, standby): requeue and keep
+// probing, it usually clears in seconds. Anything else (transport
+// errors, 5xx, proxies) retires the worker to the prober.
 func workerVerdict(err error) shardVerdict {
 	switch httpStatus(err) {
-	case http.StatusBadRequest:
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 		return verdictFatal
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		return verdictTransient
@@ -553,10 +547,10 @@ func workerVerdict(err error) shardVerdict {
 // dot, and a random suffix — so worker logs correlate with the
 // campaign while every attempt stays unique across retries, coordinator
 // restarts and failovers. The campaign part is trimmed to keep the
-// whole within maxCampaignIDLen.
+// whole within journal.MaxIDLen.
 func shardID(campaignID string) string {
 	suffix := newCampaignID()
-	if keep := maxCampaignIDLen - len(suffix) - 1; len(campaignID) > keep {
+	if keep := journal.MaxIDLen - len(suffix) - 1; len(campaignID) > keep {
 		campaignID = campaignID[:keep]
 	}
 	return campaignID + "." + suffix
@@ -565,7 +559,7 @@ func shardID(campaignID string) string {
 // cancelShard DELETEs an abandoned shard resource. Best-effort: a dead
 // worker has nothing left to cancel.
 func (c *coordinator) cancelShard(workerURL, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, workerURL+"/v1/campaigns/"+id, nil)
 	if err != nil {
@@ -654,7 +648,7 @@ func (c *coordinator) checkStranded(st *fanout, lastErr error) {
 		// A peer is in rotation; the dispatcher will (re)spawn its loop.
 		return
 	}
-	grace := c.probeInterval + c.probeTimeout + probeBackoffBase
+	grace := c.probeInterval + probeTimeout + probeBackoffBase
 	now := time.Now()
 	if c.peers.revivable() && (st.strandBy.IsZero() || now.Before(st.strandBy)) {
 		if st.strandBy.IsZero() {

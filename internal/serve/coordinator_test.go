@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -417,6 +419,30 @@ func TestCoordinatorCancelPropagatesToShards(t *testing.T) {
 	}
 	if _, misses := engine.CacheStats(); misses >= points {
 		t.Fatalf("worker simulated all %d points despite the cancel", misses)
+	}
+}
+
+// TestWorkerVerdict: a refusal every worker would repeat (400, 413)
+// fails the campaign, a worker that is up but refusing work (429, 503)
+// keeps its place, and any other failure retires the worker.
+func TestWorkerVerdict(t *testing.T) {
+	refused := func(status int) error {
+		return &statusError{status, fmt.Errorf("status %d", status)}
+	}
+	for _, c := range []struct {
+		err  error
+		want shardVerdict
+	}{
+		{refused(http.StatusBadRequest), verdictFatal},
+		{refused(http.StatusRequestEntityTooLarge), verdictFatal},
+		{refused(http.StatusTooManyRequests), verdictTransient},
+		{refused(http.StatusServiceUnavailable), verdictTransient},
+		{refused(http.StatusInternalServerError), verdictDead},
+		{errors.New("connection refused"), verdictDead},
+	} {
+		if got := workerVerdict(c.err); got != c.want {
+			t.Errorf("workerVerdict(%v) = %d, want %d", c.err, got, c.want)
+		}
 	}
 }
 

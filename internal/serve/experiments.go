@@ -74,16 +74,6 @@ type CreateExperimentResponse struct {
 	Points int `json:"points"`
 }
 
-// experimentCreateRecord is what the journaled create record of an
-// experiment-backed campaign holds after its points (journalCreate
-// splices those in first): the stream options and the experiment
-// binding, so recovery rebuilds both the campaign and the reducer.
-type experimentCreateRecord struct {
-	Reports    bool                       `json:"reports,omitempty"`
-	Experiment string                     `json:"experiment"`
-	Params     map[string]json.RawMessage `json:"params,omitempty"`
-}
-
 // handleExperiments is the collection endpoint: GET lists the registry,
 // POST creates an experiment resource.
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -133,15 +123,9 @@ func (s *Server) handleExperimentCreate(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, errors.New("missing experiment"))
 		return
 	}
-	d := sdpolicy.Experiments().Get(req.Experiment)
-	if d == nil {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown experiment %q; GET /v1/experiments lists the registry", req.Experiment))
-		return
-	}
-	params, err := reducer.ResolveJSON(d.Params, req.Params)
+	d, params, err := resolveExperiment(req.Experiment, req.Params)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("experiment %s: %w", d.Name, err))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	inst, err := d.New(params)
@@ -149,10 +133,13 @@ func (s *Server) handleExperimentCreate(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, fmt.Errorf("experiment %s: %w", d.Name, err))
 		return
 	}
-	rawParams, err := marshalParams(params)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
+	// The journal holds the resolved parameters, so recovery re-resolves
+	// exactly the values this run used even if the registry's defaults
+	// change between restarts. A value resolved from JSON, or a default,
+	// always encodes.
+	rawParams := make(map[string]json.RawMessage, len(params))
+	for name, v := range params {
+		rawParams[name], _ = json.Marshal(v)
 	}
 	id := canonicalCampaignID(r.Header.Get("X-Campaign-ID"))
 	cs, err := newCampaignState(id, inst.Points(), d.NeedsReports, false)
@@ -160,43 +147,23 @@ func (s *Server) handleExperimentCreate(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("experiment %s: %w", d.Name, err))
 		return
 	}
-	cs.experiment = d.Name
-	cs.expParams = params
-	if !s.resources.add(cs) {
-		writeCampaignError(w, http.StatusConflict, id,
-			fmt.Errorf("campaign %s already exists; attach with GET /v1/experiments/%s", id, id))
-		return
-	}
-	if !s.journalCreate(w, cs, experimentCreateRecord{
-		Reports:    cs.reports,
-		Experiment: d.Name,
-		Params:     rawParams,
-	}) {
-		return
-	}
-	mCampaignsCreated.Inc()
-	mExperimentsStarted.With(d.Name).Inc()
-	s.startCampaign(cs, nil)
-	w.Header().Set("X-Campaign-ID", id)
-	w.Header().Set("Location", "/v1/experiments/"+id)
-	writeJSON(w, http.StatusCreated, CreateExperimentResponse{
-		ID: id, Experiment: d.Name, Points: len(cs.points),
-	})
+	cs.Experiment, cs.Params, cs.expParams = d.Name, rawParams, params
+	s.create(w, cs, "/v1/experiments", CreateExperimentResponse{ID: id, Experiment: d.Name, Points: len(cs.points)})
 }
 
-// marshalParams re-encodes a resolved parameter set for the journal, so
-// recovery re-resolves exactly the values this run used even if the
-// registry's defaults change between restarts.
-func marshalParams(p reducer.Params) (map[string]json.RawMessage, error) {
-	out := make(map[string]json.RawMessage, len(p))
-	for name, v := range p {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("parameter %q: %w", name, err)
-		}
-		out[name] = b
+// resolveExperiment looks up a registry experiment and resolves its
+// parameters from their JSON encodings, as a create body or a journaled
+// create record holds them.
+func resolveExperiment(name string, raw map[string]json.RawMessage) (*sdpolicy.ExperimentDescriptor, reducer.Params, error) {
+	d := sdpolicy.Experiments().Get(name)
+	if d == nil {
+		return nil, nil, fmt.Errorf("unknown experiment %q; GET /v1/experiments lists the registry", name)
 	}
-	return out, nil
+	params, err := reducer.ResolveJSON(d.Params, raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiment %s: %w", d.Name, err)
+	}
+	return d, params, nil
 }
 
 // lookupExperiment resolves {id} like lookupCampaign and additionally
@@ -207,7 +174,7 @@ func (s *Server) lookupExperiment(w http.ResponseWriter, id string) *campaignSta
 	if cs == nil {
 		return nil
 	}
-	if cs.experiment == "" {
+	if cs.Experiment == "" {
 		writeCampaignError(w, http.StatusNotFound, id,
 			fmt.Errorf("campaign %s is not an experiment; attach with GET /v1/campaigns/%s", id, id))
 		return nil
@@ -260,10 +227,7 @@ func (es *expStream) emit(event string, payload func(seq uint64) any, force bool
 // failed — a registry bug or a frame the fold cannot digest).
 func (es *expStream) fail(err error) {
 	es.emit("error", func(seq uint64) any {
-		return struct {
-			Seq   uint64      `json:"seq"`
-			Error ErrorDetail `json:"error"`
-		}{seq, ErrorDetail{
+		return errorFrame{seq, ErrorDetail{
 			Code:       errorCode(http.StatusInternalServerError),
 			Message:    err.Error(),
 			CampaignID: es.cs.id,
@@ -310,31 +274,18 @@ func (es *expStream) fold(f frame) bool {
 				Done       bool   `json:"done"`
 				Experiment string `json:"experiment"`
 				Summary    any    `json:"summary"`
-			}{seq, true, es.cs.experiment, summary}
+			}{seq, true, es.cs.Experiment, summary}
 		}, true)
 		return true
 	case journal.KindCancelled:
-		es.emit("cancelled", func(seq uint64) any {
-			return struct {
-				Seq       uint64 `json:"seq"`
-				Cancelled bool   `json:"cancelled"`
-			}{seq, true}
-		}, true)
+		es.emit("cancelled", func(seq uint64) any { return cancelledFrame{seq, true} }, true)
 		return true
 	case journal.KindError:
-		var v struct {
-			Error ErrorDetail `json:"error"`
+		detail, ok := errorFrameDetail(f.data)
+		if !ok {
+			detail = ErrorDetail{Code: errorCode(http.StatusInternalServerError), CampaignID: es.cs.id}
 		}
-		detail := ErrorDetail{Code: errorCode(http.StatusInternalServerError), CampaignID: es.cs.id}
-		if json.Unmarshal(f.data, &v) == nil && v.Error.Message != "" {
-			detail = v.Error
-		}
-		es.emit("error", func(seq uint64) any {
-			return struct {
-				Seq   uint64      `json:"seq"`
-				Error ErrorDetail `json:"error"`
-			}{seq, detail}
-		}, true)
+		es.emit("error", func(seq uint64) any { return errorFrame{seq, detail} }, true)
 		return true
 	}
 	return false
@@ -354,10 +305,10 @@ func (s *Server) handleExperimentAttach(w http.ResponseWriter, r *http.Request, 
 	if cs == nil {
 		return
 	}
-	d := sdpolicy.Experiments().Get(cs.experiment)
+	d := sdpolicy.Experiments().Get(cs.Experiment)
 	if d == nil {
 		writeCampaignError(w, http.StatusInternalServerError, id,
-			fmt.Errorf("experiment %q vanished from the registry", cs.experiment))
+			fmt.Errorf("experiment %q vanished from the registry", cs.Experiment))
 		return
 	}
 	inst, err := d.New(cs.expParams)

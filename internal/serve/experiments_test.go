@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"sdpolicy"
+	"sdpolicy/internal/journal"
 	"sdpolicy/internal/reducer"
 )
 
@@ -222,6 +223,45 @@ func TestExperimentResumeFromCursor(t *testing.T) {
 	past := attachExperimentLines(t, srv.URL, id, 9999)
 	if len(past) != 1 || past[0] != full[len(full)-1] {
 		t.Fatalf("?from=9999 = %v, want just the done frame", past)
+	}
+}
+
+// TestJournaledExperimentRestart: an experiment's create record binds
+// its campaign to the experiment and its parameters, so a server
+// restarted on the journal re-resolves them and streams
+// /v1/experiments/{id} exactly as the server that ran it. The
+// parameters are not the defaults: a recovery that fell back to those
+// would fold two results into a four-point sweep and fail the summary.
+func TestJournaledExperimentRestart(t *testing.T) {
+	dir := t.TempDir()
+	start := func() (*httptest.Server, ActivationStats) {
+		j, err := journal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(sdpolicy.NewEngine(2, 64), 4)
+		s.EnableJournal(j)
+		stats := s.Activate()
+		srv := httptest.NewServer(s.Handler())
+		t.Cleanup(srv.Close)
+		return srv, stats
+	}
+	first, _ := start()
+	id := createExperiment(t, first.URL, "ablate_sharing_factor",
+		reducer.Params{"scale": 0.05, "factors": []float64{0.5}})
+	want := attachExperimentLines(t, first.URL, id, 0)
+	if !strings.Contains(want[len(want)-1], `"done":true`) {
+		t.Fatalf("the first server's stream ends %s, want done", want[len(want)-1])
+	}
+	first.Close()
+
+	second, stats := start()
+	if stats.Completed != 1 || stats.Resumed != 0 {
+		t.Fatalf("restart adopted %+v, want 1 completed campaign", stats)
+	}
+	got := attachExperimentLines(t, second.URL, id, 0)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("after the restart\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

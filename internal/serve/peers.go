@@ -35,13 +35,15 @@ const (
 	peerProbing = "probing" // out of rotation, health probe in flight
 )
 
-// probe backoff tuning. probeDelay doubles from probeBackoffBase per
+// probe tuning. probeDelay doubles from probeBackoffBase per
 // consecutive failure and saturates at probeBackoffMax, so a worker
 // that is down for an hour costs a probe every ~30s, not a probe per
 // tick, while a freshly failed worker is re-checked almost immediately.
+// probeTimeout bounds each /healthz probe and each shard DELETE.
 const (
 	probeBackoffBase = 500 * time.Millisecond
 	probeBackoffMax  = 30 * time.Second
+	probeTimeout     = 2 * time.Second
 )
 
 // probeDelay is the wait before re-probing a peer that has failed

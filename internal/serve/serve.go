@@ -57,6 +57,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"mime"
 	"net/http"
 	"sync"
@@ -126,9 +127,8 @@ type CoordinatorConfig struct {
 	// work-stealing style. <= 0 means sdpolicy.DefaultShardsPerWorker.
 	ShardsPerWorker int
 	// ProbeInterval is the background health prober's tick (default
-	// 1s); ProbeTimeout bounds each /healthz probe (default 2s).
+	// 1s).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// LeaseTTL is the default heartbeat lease granted to registering
 	// workers (default 30s); a worker that stops renewing is dropped
 	// once its lease expires.
@@ -279,9 +279,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// decode enforces POST + JSON and fills dst, replying on failure. A
-// missing Content-Type is tolerated (historical clients omit it); a
-// present one must name JSON.
+// decode enforces POST + JSON and fills dst from a body that holds one
+// JSON value and nothing after it, replying on failure: 413 past the
+// 1 MiB cap, else 400. A missing Content-Type is tolerated (historical
+// clients omit it); a present one must name JSON.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		writeMethodNotAllowed(w, http.MethodPost, "", errors.New("use POST"))
@@ -297,11 +298,23 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
+	err := dec.Decode(dst)
+	if err == nil {
+		// Refuse trailing data (a second value, say) rather than act on
+		// the first value alone.
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return true
+		}
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
-	return true
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 // acquire takes a simulation slot, waiting until one frees, the client

@@ -165,7 +165,11 @@ func TestBadRequests(t *testing.T) {
 		{"fraction above 1", "/v1/simulate", `{"workload":"wl1","scale":0.1,"malleable_fraction":2}`, http.StatusBadRequest},
 		{"negative fraction", "/v1/simulate", `{"workload":"wl1","scale":0.1,"malleable_fraction":-0.5}`, http.StatusBadRequest},
 		{"missing workloads", "/v1/experiments", `{"experiment":"sweep_maxsd","params":{"workloads":[]}}`, http.StatusBadRequest},
+		{"trailing data", "/v1/simulate", `{"workload":"wl5","scale":0.05} garbage`, http.StatusBadRequest},
+		{"second value", "/v1/experiments", `{"experiment":"table2"}{"experiment":"table2"}`, http.StatusBadRequest},
+		{"over 1 MiB", "/v1/simulate", `{"workload":"` + strings.Repeat("w", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
 	}
+	codes := map[int]string{http.StatusBadRequest: "bad_request", http.StatusRequestEntityTooLarge: "too_large"}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := postJSON(t, srv.URL+tc.path, tc.body)
@@ -176,8 +180,8 @@ func TestBadRequests(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Error.Message == "" {
 				t.Fatalf("error envelope missing: %v (%+v)", err, env)
 			}
-			if env.Error.Code != "bad_request" {
-				t.Fatalf("error code %q, want bad_request", env.Error.Code)
+			if env.Error.Code != codes[tc.want] {
+				t.Fatalf("error code %q, want %s", env.Error.Code, codes[tc.want])
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sdpolicy"
+	"sdpolicy/internal/journal"
 	"sdpolicy/internal/telemetry"
 )
 
@@ -194,7 +195,7 @@ func TestCampaignIDPropagation(t *testing.T) {
 		t.Fatal("no worker was asked to create a shard")
 	}
 	for _, got := range seen {
-		if !strings.HasPrefix(got, id+".") || len(got) > maxCampaignIDLen || canonicalCampaignID(got) != got {
+		if !strings.HasPrefix(got, id+".") || len(got) > journal.MaxIDLen || canonicalCampaignID(got) != got {
 			t.Errorf("worker-side ID %q, want a valid %q-prefixed ID", got, id+".")
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"sdpolicy/internal/journal"
 )
 
 // Campaign-scoped tracing. Every campaign gets an ID — client-supplied
@@ -18,10 +20,6 @@ import (
 // wall-clock went: one span per shard attempt (which peer, how many
 // points, start/end offsets, how many times the shard had been
 // requeued before this attempt) plus a per-peer rollup.
-
-// maxCampaignIDLen bounds client-supplied IDs so log lines and metric
-// payloads stay sane.
-const maxCampaignIDLen = 64
 
 // newCampaignID returns a fresh random campaign ID (16 hex chars).
 func newCampaignID() string {
@@ -36,20 +34,12 @@ func newCampaignID() string {
 
 // canonicalCampaignID validates a client-supplied ID, falling back to a
 // generated one when the header is absent or unusable. Accepted IDs are
-// 1..64 chars drawn from [A-Za-z0-9._-]: enough for UUIDs, ULIDs and
-// CI job names, and safe to embed in logs, headers and label values.
+// those that name a journal (journal.ValidateID): 1..64 chars drawn
+// from [A-Za-z0-9._-], enough for UUIDs, ULIDs and CI job names, and
+// safe to embed in logs, headers and label values.
 func canonicalCampaignID(supplied string) string {
-	if supplied == "" || len(supplied) > maxCampaignIDLen {
+	if journal.ValidateID(supplied) != nil {
 		return newCampaignID()
-	}
-	for i := 0; i < len(supplied); i++ {
-		c := supplied[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return newCampaignID()
-		}
 	}
 	return supplied
 }

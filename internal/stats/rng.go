@@ -27,15 +27,6 @@ func NewRNG(seed1, seed2 uint64) *RNG {
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// IntN returns a uniform sample in [0, n). It panics if n <= 0.
-func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
-
-// Int64N returns a uniform sample in [0, n). It panics if n <= 0.
-func (g *RNG) Int64N(n int64) int64 { return g.r.Int64N(n) }
-
-// NormFloat64 returns a standard normal sample.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
-
 // Uniform returns a uniform sample in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
@@ -83,10 +74,6 @@ func (g *RNG) Pareto(alpha, lo, hi float64) float64 {
 
 // Bernoulli returns true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
-
-// Pick returns a uniformly chosen element of xs. It panics on an empty
-// slice.
-func (g *RNG) Pick(xs []int) int { return xs[g.r.IntN(len(xs))] }
 
 // Categorical returns an index sampled according to the (unnormalised)
 // non-negative weights. It panics if the weights sum to zero or less.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -164,5 +165,45 @@ func TestRegisterTraceRejectsGarbage(t *testing.T) {
 	}
 	if _, ok := TraceByRef("wl1"); ok {
 		t.Fatal("generator name resolved as a trace")
+	}
+}
+
+// TestExperimentSummariesDecode: every registry descriptor's Decode
+// reads its summary's JSON back as the Go value Summary returned, so a
+// summary streamed from a server renders as a local one.
+func TestExperimentSummariesDecode(t *testing.T) {
+	info := registerTestTrace(t)
+	engine := NewEngine(2, 64)
+	for _, d := range Experiments().List() {
+		params := reducer.Params{}
+		for _, ps := range d.Params {
+			switch ps.Name {
+			case "scale":
+				params["scale"] = 0.03
+			case "workloads":
+				params["workloads"] = []string{"wl1"}
+			case "trace":
+				params["trace"] = info.Ref
+			}
+		}
+		local, err := engine.Experiment(context.Background(), d.Name, params)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		want, err := json.Marshal(local)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		decoded, err := d.Decode(want)
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", d.Name, err)
+		}
+		got, err := json.Marshal(decoded)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		if reflect.TypeOf(decoded) != reflect.TypeOf(local) || string(got) != string(want) {
+			t.Fatalf("%s: Decode gave %T %s, want %T %s", d.Name, decoded, got, local, want)
+		}
 	}
 }
