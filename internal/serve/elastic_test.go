@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -323,6 +324,39 @@ func TestSingleWorkerTransient503Recovers(t *testing.T) {
 		busyMu.Unlock()
 	}()
 	assertResultsMatch(t, runCoordinatorCampaign(t, coord.URL), coordReferenceResults(t))
+}
+
+// TestSingleWorkerRefusingForeverStrandsBounded pins the other half of
+// that promise: when the only worker answers 503 to every campaign
+// while its /healthz keeps answering, the campaign waits for it four
+// graces of one prober cycle each, measured from its first refusal, and
+// then fails with one terminal error instead of hanging the client.
+func TestSingleWorkerRefusingForeverStrandsBounded(t *testing.T) {
+	t.Parallel()
+	inner := New(sdpolicy.NewEngine(1, 64), 4).Handler()
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/campaigns" {
+			http.Error(w, "no free slots", http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(busy.Close)
+	coord, _ := startCoordinatorCfg(t, CoordinatorConfig{
+		Workers:       []string{busy.URL},
+		ProbeInterval: shortProbe,
+	})
+	grace := shortProbe + probeTimeout + probeBackoffBase
+	begin := time.Now()
+	frames := campaignFrames(t, coord.URL, "", coordCampaignBody)
+	took := time.Since(begin)
+	expectErrorFrame(t, frames)
+	if msg := frames[0].Error.Message; !strings.Contains(msg, "all campaign workers failed") {
+		t.Fatalf("error frame %q, want the stranded-campaign failure", msg)
+	}
+	if took < 4*grace || took > 5*grace {
+		t.Fatalf("the stranded campaign failed after %v, want between %v and %v", took, 4*grace, 5*grace)
+	}
 }
 
 // TestJoinLoopRegistersHeartbeatsAndDeregisters drives the worker-side
