@@ -304,17 +304,42 @@ func BenchmarkSimulator_SDPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkSimKernel times the discrete-event kernel itself on a
-// mid-size workload and reports raw event throughput — the number the
-// telemetry plane's sim_events_per_second gauge tracks at runtime.
-func BenchmarkSimKernel(b *testing.B) {
+// simKernelPoint is BenchmarkSimKernel's point: WL4 at benchScale under
+// SD with MaxSlowdown 10.
+func simKernelPoint(tb testing.TB) (*workload.Spec, sched.Config) {
+	tb.Helper()
 	spec, err := workload.Shared.Get("wl4", benchScale, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := sched.Defaults()
 	cfg.Policy = sched.SDPolicy
 	cfg.MaxSlowdown = 10
+	return spec, cfg
+}
+
+// TestSimKernelAllocationCeiling: BenchmarkSimKernel's point drives a
+// fixed deterministic workload, so its allocation count is allocations
+// per simulated event up to a constant. It measures about 228,000
+// (about 6 per event); the ceiling of 500,000 is over twice that, so
+// crossing it means an allocation path leaked back into the event loop.
+func TestSimKernelAllocationCeiling(t *testing.T) {
+	spec, cfg := simKernelPoint(t)
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := sched.RunContext(context.Background(), *spec, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 500000 {
+		t.Fatalf("the sim-kernel point made %v allocations, ceiling 500000", allocs)
+	}
+}
+
+// BenchmarkSimKernel times the discrete-event kernel itself on a
+// mid-size workload and reports raw event throughput — the number the
+// telemetry plane's sim_events_per_second gauge tracks at runtime.
+func BenchmarkSimKernel(b *testing.B) {
+	spec, cfg := simKernelPoint(b)
 	ctx := context.Background()
 	var events uint64
 	b.ResetTimer()

@@ -42,11 +42,12 @@ func (r *runner) runExperiment(name, serverList string) error {
 	return renderExperiment(os.Stdout, result)
 }
 
-// summary runs experiment d with the -scale/-seed flags carried into
-// whichever of its parameters they name, every other parameter on its
-// default. With serverList it runs as a /v1/experiments resource there,
-// and d decodes the summary frame into the type the local engine
-// returns, so both paths render through the same code.
+// summary runs experiment d with the -scale/-seed flags, and the one
+// trace -trace registered, carried into whichever of its parameters
+// they name, every other parameter on its default. With serverList it
+// runs as a /v1/experiments resource there, and d decodes the summary
+// frame into the type the local engine returns, so both paths render
+// through the same code.
 func (r *runner) summary(d *sdpolicy.ExperimentDescriptor, serverList string) (any, error) {
 	params := reducer.Params{}
 	for _, ps := range d.Params {
@@ -55,6 +56,15 @@ func (r *runner) summary(d *sdpolicy.ExperimentDescriptor, serverList string) (a
 			params["scale"] = r.scale
 		case "seed":
 			params["seed"] = r.seed
+		case "trace":
+			// Only -trace registers traces in this process.
+			traces := sdpolicy.RegisteredTraces()
+			if len(traces) > 1 {
+				return nil, fmt.Errorf("experiment %s takes one trace, and -trace registered %d", d.Name, len(traces))
+			}
+			if len(traces) == 1 {
+				params["trace"] = traces[0].Ref
+			}
 		}
 	}
 	if serverList == "" {

@@ -39,8 +39,9 @@
 // compiles to an immutable workload addressable as trace:<digest>
 // anywhere a generator name is accepted (the workload field of points
 // files, the real_trace experiment's trace parameter). The digest is printed
-// on stderr at registration. For -server runs the remote deployment
-// must hold the same traces (sdserve -trace-dir).
+// on stderr at registration; -experiment real_trace takes the one trace
+// registered. For -server runs the remote deployment must hold the same
+// traces (sdserve -trace-dir).
 //
 // -cache-dir dir persists campaign results across runs: the engine
 // loads every cache log in dir on start and appends each result to a

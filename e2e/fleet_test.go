@@ -290,7 +290,9 @@ func experiments(t *testing.T) {
 // scenario addressed by it prints the same bytes in one process, as two
 // interleaved shards, warm from the cache logs without simulating, and
 // through a coordinator whose workers load -trace-dir; /v1/workloads
-// lists the trace beside the presets; real_trace runs on the fleet.
+// lists the trace beside the presets; sdexp -experiment real_trace on
+// the registered sample prints the same bytes locally and through the
+// coordinator, and real_trace runs on the fleet.
 func traces(t *testing.T) {
 	e := newEnv(t)
 	digestOf := regexp.MustCompile(` as (trace:[0-9a-f]+) `)
@@ -365,6 +367,11 @@ func traces(t *testing.T) {
 	if e.getJSON(coord+"/v1/workloads/wl1?scale=0.1&seed=1", &gen); gen.Source != "generator" || gen.Jobs == 0 {
 		t.Errorf("/v1/workloads/wl1: %+v", gen)
 	}
+
+	realTrace := []string{"-trace", "testdata/sample.swf", "-experiment", "real_trace"}
+	realLocal, _ := e.sdexp("real-trace", realTrace...)
+	realCoord, _ := e.sdexp("real-trace-coordinated", append(realTrace, "-server", coord)...)
+	same(t, "the coordinator's real_trace", realLocal, realCoord)
 
 	loc := e.create(coord+"/v1/experiments", "", fmt.Sprintf(`{"experiment":"real_trace","params":{"trace":%q}}`, digest))
 	fs := e.frames(coord + loc)

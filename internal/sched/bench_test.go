@@ -10,9 +10,10 @@ import (
 // midSim builds a scheduler frozen mid-simulation: WL4 is driven up to
 // the horizon, leaving a populated running set and a backlog in the
 // queue — the state every per-pass component operates on. The returned
-// scheduler must not be mutated by the benchmark body (the component
-// benchmarks below only exercise read/scratch paths).
-func midSim(b *testing.B, cfg Config) *Scheduler {
+// scheduler must not be mutated by the caller (the component benchmarks
+// and TestPassComponentsAllocateNothing only exercise read/scratch
+// paths).
+func midSim(b testing.TB, cfg Config) *Scheduler {
 	b.Helper()
 	spec := workload.WL4(0.05, 1)
 	eng := sim.NewEngine()
@@ -30,6 +31,32 @@ func midSim(b *testing.B, cfg Config) *Scheduler {
 		b.Fatalf("mid-state degenerate: %d running, %d queued", len(s.runList), len(s.queue))
 	}
 	return s
+}
+
+// TestPassComponentsAllocateNothing: the profile build, the dynamic
+// cut-off and the whole pass run on scheduler-owned scratch, so once
+// warm each allocates nothing over the frozen mid-trace state of the
+// benchmarks below. An allocation here would enter every scheduling
+// pass.
+func TestPassComponentsAllocateNothing(t *testing.T) {
+	profile := midSim(t, sdConfig())
+	cfg := sdConfig()
+	cfg.Cutoff = CutoffDynP70
+	cutoff := midSim(t, cfg)
+	cfg.Cutoff = CutoffDynAvg
+	pass := midSim(t, cfg)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"buildProfile", func() { profile.buildProfile(profile.eng.Now()) }},
+		{"dynamicCutoff (P70)", func() { cutoff.dynamicCutoff(cutoff.eng.Now()) }},
+		{"pass (DynAvg)", pass.pass},
+	} {
+		if allocs := testing.AllocsPerRun(20, c.run); allocs != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", c.name, allocs)
+		}
+	}
 }
 
 // BenchmarkBuildProfile measures what the head of every scheduling pass

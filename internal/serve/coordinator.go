@@ -20,20 +20,21 @@ import (
 // instances and re-merges their streams. Each shard is a /v1/campaigns
 // resource on its worker, created and attached exactly as any client
 // would, under an ID that extends the campaign's own. The points are
-// planned into
-// shardsPerWorker shards per fleet member (canonical duplicates
-// co-located, so nothing simulates twice across the fleet) and handed
-// out work-stealing style from a queue: a fast worker simply takes more
-// shards, and a worker that joins mid-campaign — dynamic registration
-// or a dead peer probed back to life — steals from the remaining queue.
-// A worker that fails mid-shard requeues only its unresolved points, is
-// taken out of rotation, and re-enters via the background health prober
-// (or by re-registering), so the merged output is identical to a
-// single-process run as long as the campaign never runs out of workers
-// entirely. When its engine persists its cache (Engine.PersistCache),
-// the coordinator also asks its workers for per-job reports and primes
-// that cache with every proxied result, which the engine appends to the
-// cache directory, so they warm later local analyses.
+// planned into shardsPerWorker shards per fleet member (canonical
+// duplicates co-located, so nothing simulates twice across the fleet)
+// and queued. One loop per campaign (run) hands the queue's front to
+// every worker in rotation that has nothing in flight: a fast worker
+// simply takes more shards, and a worker that joins mid-campaign —
+// dynamic registration or a dead peer probed back to life — takes the
+// next one. A worker that fails mid-shard requeues only its unresolved
+// points and leaves rotation until the background health prober (or a
+// re-registration) brings it back, so the merged output is identical to
+// a single-process run as long as the campaign never runs out of
+// workers entirely. When its engine persists its cache
+// (Engine.PersistCache), the coordinator also asks its workers for
+// per-job reports and primes that cache with every proxied result,
+// which the engine appends to the cache directory, so they warm later
+// local analyses.
 type coordinator struct {
 	peers           *peerSet
 	client          *http.Client
@@ -80,8 +81,8 @@ func newCoordinator(cfg CoordinatorConfig, engine *sdpolicy.Engine) (*coordinato
 // probeLoop is the background health prober: every tick it expires
 // unrenewed heartbeat leases and probes every out-of-rotation peer
 // whose backoff has elapsed, returning responsive ones to rotation —
-// which wakes any in-flight campaign so the revived worker starts
-// stealing shards immediately. It runs until stop closes (BeginShutdown).
+// which wakes every in-flight campaign's loop, so the revived worker
+// takes queued shards at once. It runs until stop closes (BeginShutdown).
 func (c *coordinator) probeLoop(stop <-chan struct{}) {
 	ticker := time.NewTicker(c.probeInterval)
 	defer ticker.Stop()
@@ -140,36 +141,31 @@ const (
 	verdictTransient              // the worker refused work (429/503) but is up
 )
 
-// fanout is the shared state of one coordinated campaign: a queue of
-// shard jobs stolen by per-peer worker loops that come and go with
-// fleet membership.
+// fanout is what a campaign's shard attempts share: the points and
+// their encodings, the client stream, and the positions already
+// relayed. Everything else about a fan-out belongs to run's loop.
 type fanout struct {
 	points []sdpolicy.Point
 	// wire holds each point's JSON encoding, spliced into shard bodies.
 	wire    [][]byte
 	updates chan<- sdpolicy.PointResult
-	cancel  context.CancelFunc
-	// campaignID prefixes every shard's ID on its worker (shardID);
-	// trace is the campaign's span recorder, nil unless the client asked.
+	// campaignID prefixes every shard's ID on its worker (shardID).
 	campaignID string
-	trace      *traceRecorder
 
-	mu          sync.Mutex
-	pending     []shardJob
-	outstanding int // jobs not yet fully resolved (queued + in flight)
-	received    []bool
-	active      map[string]bool // peers with a live worker loop
-	firstErr    error
-	// wake is closed and replaced on every enqueue so idle worker loops
-	// re-check the queue; done closes exactly once when the campaign
-	// resolves (all jobs finished, first fatal error, or stranded).
-	wake chan struct{}
-	done chan struct{}
-	// strandBy bounds how long a stranded campaign waits for a
-	// revivable peer (zero = no strand in progress); strandWait marks a
-	// deferred re-check already scheduled.
-	strandBy   time.Time
-	strandWait bool
+	mu       sync.Mutex
+	received []bool
+}
+
+// attempt is how one shard attempt ended: the peer that ran it, the job
+// it carried, the job's unresolved remainder, when it began, and the
+// error and verdict runShard returned.
+type attempt struct {
+	peer      string
+	job       shardJob
+	remainder shardJob
+	begin     time.Time
+	err       error
+	verdict   shardVerdict
 }
 
 // run executes the campaign across the fleet, delivering each result on
@@ -178,7 +174,24 @@ type fanout struct {
 // contract: updates is closed before returning. wire holds each
 // point's JSON encoding. wantReports asks the workers for per-job
 // reports and relays each on its PointResult as the bytes the worker
-// sent, compacted.
+// sent, compacted. tr, when not nil, records one span per attempt.
+//
+// run is one loop, and only it touches the shard queue, the peers with
+// an attempt in flight, the first error and the strand deadline. A
+// shard is unresolved while it is queued or in flight. Each turn the
+// loop hands the queue's front to every peer in rotation with nothing
+// in flight, each attempt a goroutine that runs runShard and sends back
+// how it ended, and then waits for an attempt to end, a peer to enter
+// rotation, the strand timer or the caller's cancellation. An attempt
+// that ends OK, or with its worker faulted after every result arrived,
+// resolves its shard. A cancelled campaign blames no worker. A fatal
+// error fails the campaign. A dead or refusing worker has its shard's
+// unresolved remainder requeued and leaves rotation. With nothing in
+// flight and no peer in rotation the campaign is stranded: it waits one
+// prober cycle's grace at a time while a peer is revivable, four graces
+// at most from its first strand since a shard last resolved, and then
+// fails. On the way out run cancels the attempts still in flight and
+// waits for them.
 func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, wire [][]byte, updates chan<- sdpolicy.PointResult, wantReports bool, campaignID string, tr *traceRecorder) error {
 	defer close(updates)
 	c.peers.expireLeases()
@@ -190,84 +203,107 @@ func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, wire [][
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	st := &fanout{
-		points:     points,
-		wire:       wire,
-		updates:    updates,
-		cancel:     cancel,
-		campaignID: campaignID,
-		trace:      tr,
-		received:   make([]bool, len(points)),
-		active:     make(map[string]bool),
-		wake:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
+	var queue []shardJob
 	for _, s := range shards {
-		if len(s.Positions) == 0 {
-			continue
+		if len(s.Positions) != 0 {
+			queue = append(queue, shardJob{positions: s.Positions})
 		}
-		st.outstanding++
-		st.pending = append(st.pending, shardJob{positions: s.Positions})
 	}
-	mShardsQueued.Add(uint64(st.outstanding))
-	if st.outstanding == 0 {
+	mShardsQueued.Add(uint64(len(queue)))
+	if len(queue) == 0 {
 		return ctx.Err()
 	}
-
-	// Worker loops are spawned for every in-rotation peer now, and for
-	// every peer that enters rotation mid-campaign (registration or a
-	// successful health probe) — the membership subscription is what
-	// makes the fleet elastic within a single campaign.
+	st := &fanout{points: points, wire: wire, updates: updates, campaignID: campaignID, received: make([]bool, len(points))}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// A peer entering rotation mid-campaign (registration or a
+	// successful health probe) pings notify, so it takes queued shards
+	// at once: that is what makes the fleet elastic within a campaign.
 	notify := make(chan struct{}, 1)
-	unsubscribe := c.peers.subscribe(notify)
-	defer unsubscribe()
-	var wg sync.WaitGroup
-	spawn := func() {
-		for _, u := range c.peers.alive() {
-			st.mu.Lock()
-			if st.firstErr == nil && st.outstanding > 0 && !st.active[u] {
-				st.active[u] = true
-				wg.Add(1)
-				go func(workerURL string) {
-					defer wg.Done()
-					c.workerLoop(ctx, workerURL, st, wantReports)
-				}(u)
-			}
-			st.mu.Unlock()
-		}
-	}
-	spawn()
-	c.checkStranded(st, fmt.Errorf("coordinator: no worker in rotation"))
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-notify:
-				spawn()
-			case <-st.done:
-				return
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+	defer c.peers.subscribe(notify)()
 
-	select {
-	case <-st.done:
-	case <-ctx.Done():
-		// The caller's cancellation (client disconnect, shutdown)
-		// becomes the campaign's first error; fail() cancels the shard
-		// contexts so wg.Wait cannot hang on in-flight streams.
-		st.fail(ctx.Err())
+	ends := make(chan attempt)
+	inFlight := make(map[string]bool)
+	var firstErr error
+	lastErr := fmt.Errorf("coordinator: no worker in rotation")
+	grace := c.probeInterval + probeTimeout + probeBackoffBase
+	var strandBy time.Time
+	var strandTimer <-chan time.Time
+	end := func(a attempt) {
+		delete(inFlight, a.peer)
+		tr.record(a.peer, len(a.job.positions), a.job.steals, a.begin, a.err)
 	}
-	wg.Wait()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.firstErr != nil {
-		return st.firstErr
+	for (len(queue) > 0 || len(inFlight) > 0) && firstErr == nil {
+		for _, u := range c.peers.alive() {
+			if len(queue) == 0 {
+				break
+			}
+			if inFlight[u] {
+				continue
+			}
+			inFlight[u] = true
+			job := queue[0]
+			queue = queue[1:]
+			go func() {
+				mShardsStolen.With(u).Inc()
+				mPeerInflight.With(u).Inc()
+				a := attempt{peer: u, job: job, begin: time.Now()}
+				a.remainder, a.err, a.verdict = c.runShard(ctx, u, job, st, wantReports)
+				mPeerInflight.With(u).Dec()
+				ends <- a
+			}()
+		}
+		if len(inFlight) == 0 {
+			// Stranded. Hard faults (connection refused, a peer waiting
+			// out its backoff) fail fast; a peer that may be back within
+			// one prober cycle (a probe in flight, a 429/503 due for its
+			// immediate re-probe) is waited for, within strandBy, so a
+			// worker refusing forever still ends the campaign.
+			now := time.Now()
+			if !c.peers.revivable() || (!strandBy.IsZero() && !now.Before(strandBy)) {
+				firstErr = fmt.Errorf("all campaign workers failed; last: %w", lastErr)
+				break
+			}
+			if strandBy.IsZero() {
+				strandBy = now.Add(4 * grace)
+			}
+			if strandTimer == nil {
+				strandTimer = time.After(grace)
+			}
+		}
+		select {
+		case a := <-ends:
+			end(a)
+			switch {
+			case a.verdict == verdictOK:
+				strandBy = time.Time{}
+			case ctx.Err() != nil:
+				firstErr = ctx.Err()
+			case a.verdict == verdictFatal:
+				firstErr = a.err
+			case len(a.remainder.positions) == 0:
+				// The stream broke after delivering every result but
+				// before its terminal frame: the shard is done.
+				strandBy = time.Time{}
+			default:
+				mShardsRequeued.Inc()
+				queue = append(queue, shardJob{positions: a.remainder.positions, steals: a.job.steals + 1})
+				c.peers.markFault(a.peer, a.err, a.verdict == verdictTransient)
+				lastErr = a.err
+			}
+		case <-notify:
+		case <-strandTimer:
+			strandTimer = nil
+		case <-ctx.Done():
+			firstErr = ctx.Err()
+		}
+	}
+	cancel()
+	for len(inFlight) > 0 {
+		end(<-ends)
+	}
+	if firstErr != nil {
+		return firstErr
 	}
 	for pos, ok := range st.received {
 		if !ok {
@@ -275,65 +311,6 @@ func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, wire [][
 		}
 	}
 	return nil
-}
-
-// workerLoop steals shard jobs for one peer until the campaign resolves
-// or the peer faults (at which point the job's unresolved remainder
-// requeues, the peer leaves rotation, and the health prober owns
-// bringing it back — a revived peer gets a fresh loop).
-func (c *coordinator) workerLoop(ctx context.Context, workerURL string, st *fanout, wantReports bool) {
-	for {
-		job, wait, finished := st.next()
-		if finished {
-			st.release(workerURL)
-			return
-		}
-		if wait != nil {
-			select {
-			case <-wait:
-				continue
-			case <-st.done:
-				st.release(workerURL)
-				return
-			case <-ctx.Done():
-				st.release(workerURL)
-				return
-			}
-		}
-		mShardsStolen.With(workerURL).Inc()
-		mPeerInflight.With(workerURL).Inc()
-		begin := time.Now()
-		remaining, err, verdict := c.runShard(ctx, workerURL, job, st, wantReports)
-		mPeerInflight.With(workerURL).Dec()
-		st.trace.record(workerURL, len(job.positions), job.steals, begin, err)
-		switch {
-		case verdict == verdictOK:
-			st.finishShard()
-		case ctx.Err() != nil:
-			// The campaign is already over (client gone, first error, all
-			// positions resolved): don't blame the worker.
-			st.release(workerURL)
-			st.fail(ctx.Err())
-			return
-		case verdict == verdictDead || verdict == verdictTransient:
-			if len(remaining.positions) == 0 {
-				// The stream broke after delivering every result but
-				// before its terminal event: the shard is done.
-				st.finishShard()
-				continue
-			}
-			remaining.steals = job.steals + 1
-			st.requeue(remaining)
-			st.release(workerURL)
-			c.peers.markFault(workerURL, err, verdict == verdictTransient)
-			c.checkStranded(st, err)
-			return
-		default:
-			st.release(workerURL)
-			st.fail(err)
-			return
-		}
-	}
 }
 
 // runShard runs one shard as a campaign resource on one worker,
@@ -568,133 +545,6 @@ func (c *coordinator) cancelShard(workerURL, id string) {
 	if resp, err := c.client.Do(req); err == nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-	}
-}
-
-// next hands out the queue's front job. When the queue is empty it
-// returns a wait channel that closes on the next enqueue (the caller
-// must also watch done/ctx); when nothing is outstanding it reports the
-// campaign finished. The empty-queue check and the wake-channel grab
-// happen under one lock acquisition, so an enqueue can never slip
-// between them unseen.
-func (st *fanout) next() (job shardJob, wait <-chan struct{}, finished bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.pending) > 0 {
-		job = st.pending[0]
-		st.pending = st.pending[1:]
-		return job, nil, false
-	}
-	if st.outstanding == 0 || st.firstErr != nil {
-		return shardJob{}, nil, true
-	}
-	return shardJob{}, st.wake, false
-}
-
-// requeue returns a failed shard's unresolved remainder to the queue
-// and wakes idle worker loops to steal it.
-func (st *fanout) requeue(job shardJob) {
-	mShardsRequeued.Inc()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.pending = append(st.pending, job)
-	close(st.wake)
-	st.wake = make(chan struct{})
-}
-
-// finishShard retires one fully-resolved job, resolving the campaign
-// once the last one lands. Progress also resets the strand clock: a
-// fleet that intermittently refuses work but keeps completing shards
-// is slow, not stranded.
-func (st *fanout) finishShard() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.outstanding--
-	st.strandBy = time.Time{}
-	if st.outstanding == 0 {
-		st.closeDoneLocked()
-	}
-}
-
-// release drops a worker loop from the active set (before its peer is
-// marked faulted, so a probe revival can never race a still-registered
-// loop and skip respawning).
-func (st *fanout) release(workerURL string) {
-	st.mu.Lock()
-	delete(st.active, workerURL)
-	st.mu.Unlock()
-}
-
-// checkStranded fails the campaign when work remains but nobody is
-// left to do it: no live worker loop and no peer in rotation. One
-// exception keeps the transient-fault promise honest for small fleets:
-// if an out-of-rotation peer is revivable within one prober cycle
-// (probe in flight, or a 429/503-style fault due for its immediate
-// re-probe), the campaign waits — re-checking after a grace of one
-// cycle, bounded overall by strandBy so a worker that refuses forever
-// still fails the campaign instead of hanging the client. Hard faults
-// (connection refused, waiting out a backoff) fail fast as before; a
-// completed shard resets the strand clock (see finishShard).
-func (c *coordinator) checkStranded(st *fanout, lastErr error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.outstanding == 0 || st.firstErr != nil {
-		return
-	}
-	if len(st.active) > 0 {
-		return
-	}
-	if len(c.peers.alive()) > 0 {
-		// A peer is in rotation; the dispatcher will (re)spawn its loop.
-		return
-	}
-	grace := c.probeInterval + probeTimeout + probeBackoffBase
-	now := time.Now()
-	if c.peers.revivable() && (st.strandBy.IsZero() || now.Before(st.strandBy)) {
-		if st.strandBy.IsZero() {
-			st.strandBy = now.Add(4 * grace)
-		}
-		if !st.strandWait {
-			st.strandWait = true
-			go func() {
-				select {
-				case <-time.After(grace):
-				case <-st.done:
-					return
-				}
-				st.mu.Lock()
-				st.strandWait = false
-				st.mu.Unlock()
-				c.checkStranded(st, lastErr)
-			}()
-		}
-		return
-	}
-	st.firstErr = fmt.Errorf("all campaign workers failed; last: %w", lastErr)
-	st.cancel()
-	st.closeDoneLocked()
-}
-
-// fail records the campaign's first fatal error and cancels the rest.
-func (st *fanout) fail(err error) {
-	if err == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.firstErr == nil {
-		st.firstErr = err
-	}
-	st.cancel()
-	st.closeDoneLocked()
-}
-
-// closeDoneLocked resolves the campaign exactly once. Callers hold st.mu.
-func (st *fanout) closeDoneLocked() {
-	select {
-	case <-st.done:
-	default:
-		close(st.done)
 	}
 }
 

@@ -323,6 +323,52 @@ func TestCoordinatorPropagatesDeterministicErrors(t *testing.T) {
 	expectErrorFrame(t, campaignFrames(t, coord.URL, "", `{"points":[{"workload":"wl-nope","options":{}}]}`))
 }
 
+// TestCoordinatorFailureWaitsForAttemptsInFlight: when one worker's
+// refusal fails the campaign while another worker's shard is still in
+// flight, the coordinator cancels that attempt and waits for it before
+// the campaign ends, so the trace frame holds a span for every attempt
+// the workers saw.
+func TestCoordinatorFailureWaitsForAttemptsInFlight(t *testing.T) {
+	var posts atomic.Int32
+	accepted := make(chan struct{})
+	var acceptOnce sync.Once
+	// refusing fails the campaign, once stalled holds a shard.
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		select {
+		case <-accepted:
+		case <-r.Context().Done():
+			return
+		}
+		http.Error(w, "bad points", http.StatusBadRequest)
+	}))
+	t.Cleanup(refusing.Close)
+	// stalled accepts its shard and then streams nothing until the
+	// coordinator hangs up.
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPost:
+			posts.Add(1)
+			acceptOnce.Do(func() { close(accepted) })
+			w.WriteHeader(http.StatusCreated)
+			io.WriteString(w, `{"id":"s"}`)
+		case http.MethodGet:
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			<-r.Context().Done()
+		}
+	}))
+	t.Cleanup(stalled.Close)
+	coord := startCoordinator(t, []string{refusing.URL, stalled.URL})
+	frames := campaignFrames(t, coord.URL, "", withTrace(coordCampaignBody))
+	if len(frames) != 2 || !frames[0].Trace || frames[1].Error == nil {
+		t.Fatalf("frames %+v, want a trace frame and a terminal error", frames)
+	}
+	if spans := len(frames[0].Shards); spans != int(posts.Load()) || spans != 2 {
+		t.Fatalf("%d spans for %d attempts, want one for each of the two workers' attempts", spans, posts.Load())
+	}
+}
+
 // TestCoordinatorHealthListsPeers: /healthz advertises the fleet with
 // per-peer state.
 func TestCoordinatorHealthListsPeers(t *testing.T) {

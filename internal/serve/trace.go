@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"sort"
-	"sync"
 	"time"
 
 	"sdpolicy/internal/journal"
@@ -80,10 +79,11 @@ type TraceFrame struct {
 
 // traceRecorder accumulates shard spans for one campaign. A nil
 // recorder is valid and records nothing, so untraced campaigns pay a
-// single nil check per shard.
+// single nil check per shard. One goroutine records, the campaign's
+// runner (coordinator.run's loop, or the local run), and frame reads
+// only after that runner has returned.
 type traceRecorder struct {
 	start time.Time
-	mu    sync.Mutex
 	spans []ShardSpan
 }
 
@@ -105,9 +105,7 @@ func (tr *traceRecorder) record(peer string, points, steals int, begin time.Time
 	if err != nil {
 		span.Error = err.Error()
 	}
-	tr.mu.Lock()
 	tr.spans = append(tr.spans, span)
-	tr.mu.Unlock()
 }
 
 // frame snapshots the recorder into the terminal trace frame: spans
@@ -118,9 +116,7 @@ func (tr *traceRecorder) frame(campaignID string, points int) TraceFrame {
 		return f
 	}
 	f.DurationMS = float64(time.Since(tr.start).Microseconds()) / 1000
-	tr.mu.Lock()
 	f.Shards = append([]ShardSpan(nil), tr.spans...)
-	tr.mu.Unlock()
 	sort.SliceStable(f.Shards, func(i, j int) bool { return f.Shards[i].StartMS < f.Shards[j].StartMS })
 	byPeer := make(map[string]*PeerTrace)
 	for _, s := range f.Shards {
