@@ -201,6 +201,26 @@ func TestCampaignBadRequests(t *testing.T) {
 			t.Fatalf("status %d, envelope %+v (%v), want 413 too_large", resp.StatusCode, env, err)
 		}
 	})
+	// Past the cap, json.Decoder's order decides the status: it reports
+	// a syntax error the moment it scans it (400), but reads a whole
+	// value before it type-checks it, so a body that is still open, or
+	// complete and followed by more, at the cap answers 413.
+	filler := strings.Repeat(" ", 1<<20)
+	for name, c := range map[string]struct {
+		body   string
+		status int
+	}{
+		"syntax error, then filler":  {`{"points":[{"workload" x` + filler, http.StatusBadRequest},
+		"type error, then filler":    {`{"points":[{"workload":1,"options":{}}]` + filler + `}`, http.StatusRequestEntityTooLarge},
+		"unknown field, then filler": {`{"points":[{"workload":"wl5","options":{}}],"bogus":1` + filler + `}`, http.StatusRequestEntityTooLarge},
+		"valid body, then filler":    {`{"points":[{"workload":"wl5","scale":0.15,"seed":1,"options":{}}]}` + filler, http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if resp := postJSON(t, srv.URL+"/v1/campaigns", c.body); resp.StatusCode != c.status {
+				t.Fatalf("status %d, want %d", resp.StatusCode, c.status)
+			}
+		})
+	}
 	// The stream encoding is chosen per attach, so an unknown one is the
 	// attach's 400.
 	t.Run("bad format", func(t *testing.T) {
