@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -178,14 +180,19 @@ type campaignState struct {
 	w *journal.Writer
 }
 
-func newCampaignState(id string, points []sdpolicy.Point, reports, trace bool) (*campaignState, error) {
-	wire := make([][]byte, len(points))
-	for i, p := range points {
-		// MarshalJSON's bytes are json.Marshal's, without its second
-		// pass to compact them.
-		var err error
-		if wire[i], err = p.MarshalJSON(); err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
+// newCampaignState builds a running campaign of points. wire holds
+// their encodings when they arrived as them (sdpolicy.ReadPointsObject);
+// nil encodes them now.
+func newCampaignState(id string, points []sdpolicy.Point, wire [][]byte, reports, trace bool) (*campaignState, error) {
+	if wire == nil {
+		wire = make([][]byte, len(points))
+		for i, p := range points {
+			// MarshalJSON's bytes are json.Marshal's, without its second
+			// pass to compact them.
+			var err error
+			if wire[i], err = p.MarshalJSON(); err != nil {
+				return nil, fmt.Errorf("point %d: %w", i, err)
+			}
 		}
 	}
 	return &campaignState{
@@ -429,18 +436,15 @@ func (s *Server) recoverCampaign(id string) (cs *campaignState, remaining []int,
 	if err != nil {
 		return nil, nil, false, err
 	}
-	var rec struct {
-		Points []sdpolicy.PointSpec `json:"points"`
-		campaignOptions
-	}
-	if err := json.Unmarshal(recs[0].Data, &rec); err != nil {
-		return nil, nil, false, fmt.Errorf("create record: %w", err)
-	}
-	points, err := sdpolicy.PointsFromSpecs(rec.Points)
+	specs, wire, rec, err := readCreateRecord(recs[0].Data)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
-	if cs, err = newCampaignState(id, points, rec.Reports, rec.Trace); err != nil {
+	points, err := sdpolicy.PointsFromSpecs(specs)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("create record: %w", err)
+	}
+	if cs, err = newCampaignState(id, points, wire, rec.Reports, rec.Trace); err != nil {
 		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
 	if rec.Experiment != "" {
@@ -503,9 +507,18 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errStandby)
 		return
 	}
-	var req CreateCampaignRequest
-	if !s.decode(w, r, &req) {
+	if !acceptsJSON(w, r) {
 		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	req, wire, ok := readCreateRequest(body)
+	if err != nil || !ok {
+		// The strict decoder reads the same bytes, then the error that
+		// ended the read, so it answers as it would reading the request.
+		wire = nil
+		if !decodeBody(w, &replayReader{body, cmp.Or(err, io.EOF)}, &req) {
+			return
+		}
 	}
 	if len(req.Points) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("missing points"))
@@ -517,12 +530,69 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := canonicalCampaignID(r.Header.Get("X-Campaign-ID"))
-	cs, err := newCampaignState(id, points, req.Reports, req.Trace)
+	cs, err := newCampaignState(id, points, wire, req.Reports, req.Trace)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.create(w, cs, "/v1/campaigns", CreateCampaignResponse{ID: id})
+}
+
+// readCreateRequest reads a create body in one pass when it is what
+// json.Marshal writes for a CreateCampaignRequest, then optional
+// whitespace: the request and each point's encoding. ok is false, and
+// req empty, for any other body.
+func readCreateRequest(body []byte) (req CreateCampaignRequest, wire [][]byte, ok bool) {
+	specs, wire, rest, ok := sdpolicy.ReadPointsObject(body)
+	if !ok {
+		return req, nil, false
+	}
+	switch string(bytes.TrimRight(rest, " \t\r\n")) {
+	case "}":
+	case `,"reports":true}`:
+		req.Reports = true
+	case `,"trace":true}`:
+		req.Trace = true
+	case `,"reports":true,"trace":true}`:
+		req.Reports, req.Trace = true, true
+	default:
+		return CreateCampaignRequest{}, nil, false
+	}
+	req.Points = specs
+	return req, wire, true
+}
+
+// readCreateRecord reads a journaled create record, which pointsObject
+// wrote: its points in one pass, keeping their encodings, then the
+// options after them. Any other record is decoded by encoding/json,
+// and wire is nil.
+func readCreateRecord(data []byte) (specs []sdpolicy.PointSpec, wire [][]byte, opts campaignOptions, err error) {
+	specs, wire, rest, ok := sdpolicy.ReadPointsObject(data)
+	if ok && json.Unmarshal(append([]byte("{"), bytes.TrimPrefix(rest, []byte(","))...), &opts) == nil {
+		return specs, wire, opts, nil
+	}
+	var rec struct {
+		Points []sdpolicy.PointSpec `json:"points"`
+		campaignOptions
+	}
+	err = json.Unmarshal(data, &rec)
+	return rec.Points, nil, rec.campaignOptions, err
+}
+
+// replayReader reads back a body read whole: its bytes, then err, the
+// error that ended the read.
+type replayReader struct {
+	b   []byte
+	err error
+}
+
+func (r *replayReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
 }
 
 // create is the one create path of campaign and experiment resources:

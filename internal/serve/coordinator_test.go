@@ -513,7 +513,7 @@ func TestCoordinatorRetiresWorkerOnUndecodableResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := newCampaignState("c", campaignTestPoints(t)[:1], false, false)
+			cs, err := newCampaignState("c", campaignTestPoints(t)[:1], nil, false, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -571,7 +571,7 @@ func FuzzShardStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cs, err := newCampaignState("s", make([]sdpolicy.Point, 5), false, false)
+	cs, err := newCampaignState("s", make([]sdpolicy.Point, 5), nil, false, false)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func (s *Server) handleExperimentCreate(w http.ResponseWriter, r *http.Request) 
 		rawParams[name], _ = json.Marshal(v)
 	}
 	id := canonicalCampaignID(r.Header.Get("X-Campaign-ID"))
-	cs, err := newCampaignState(id, inst.Points(), d.NeedsReports, false)
+	cs, err := newCampaignState(id, inst.Points(), nil, d.NeedsReports, false)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("experiment %s: %w", d.Name, err))
 		return

@@ -280,10 +280,19 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // decode enforces POST + JSON and fills dst from a body that holds one
-// JSON value and nothing after it, replying on failure: 413 past the
-// 1 MiB cap, else 400. A missing Content-Type is tolerated (historical
-// clients omit it); a present one must name JSON.
+// JSON value and nothing after it, replying on failure (acceptsJSON,
+// decodeBody).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
+	return acceptsJSON(w, r) && decodeBody(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
+}
+
+// maxBodyBytes caps every request body.
+const maxBodyBytes = 1 << 20
+
+// acceptsJSON enforces POST + JSON, replying on failure. A missing
+// Content-Type is tolerated (historical clients omit it); a present
+// one must name JSON.
+func acceptsJSON(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		writeMethodNotAllowed(w, http.MethodPost, "", errors.New("use POST"))
 		return false
@@ -296,7 +305,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 			return false
 		}
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	return true
+}
+
+// decodeBody fills dst from a body that holds one JSON value and
+// nothing after it, refusing unknown fields, and replies on failure:
+// 413 past the cap, else 400.
+func decodeBody(w http.ResponseWriter, body io.Reader, dst any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(dst)
 	if err == nil {

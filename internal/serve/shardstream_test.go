@@ -59,7 +59,7 @@ func lineStreams(tb testing.TB, point []byte) []lineStream {
 // TestShardStreamNearMisses: on each of lineStreams, shardStream reads
 // exactly the result lines before the first near miss line by line.
 func TestShardStreamNearMisses(t *testing.T) {
-	cs, err := newCampaignState("s", make([]sdpolicy.Point, 5), false, false)
+	cs, err := newCampaignState("s", make([]sdpolicy.Point, 5), nil, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}

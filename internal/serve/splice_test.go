@@ -146,7 +146,7 @@ func TestSplicedFramesMatchMarshal(t *testing.T) {
 	// encodings must, so a change to a frame's, a point's or a result's
 	// layout that would turn the line path off fails here.
 	t.Run("worker-lines", func(t *testing.T) {
-		cs, err := newCampaignState("c", points, false, false)
+		cs, err := newCampaignState("c", points, nil, false, false)
 		if err != nil {
 			t.Fatal(err)
 		}

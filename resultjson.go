@@ -53,7 +53,9 @@ func readResult(r *Result, data []byte) bool {
 		s.lit(`}`) && len(s.b) == 0
 }
 
-// resultReader consumes a Result's encoding from the front of b.
+// resultReader consumes the encoding json.Marshal writes for a Result
+// (readResult) or a list of points (ReadPointsObject) from the front
+// of b.
 type resultReader struct {
 	b []byte
 	// spell holds a number as json.Marshal spells it, for comparison.
@@ -89,7 +91,7 @@ func (s *resultReader) str(v *string) bool {
 }
 
 // number consumes the token up to the next ',' or '}', the bytes that
-// follow every number in a Result's encoding.
+// follow every number in a Result's or a point's encoding.
 func (s *resultReader) number() []byte {
 	i := 0
 	for i < len(s.b) && s.b[i] != ',' && s.b[i] != '}' {

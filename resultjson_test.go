@@ -15,26 +15,28 @@ import (
 
 // goldenResults returns the result of every line of the golden file,
 // as the bytes the line holds.
-func goldenResults(tb testing.TB) [][]byte {
+func goldenResults(tb testing.TB) [][]byte { return goldenValues(tb, "result") }
+
+// goldenValues returns the value under key of every line of the golden
+// file, as the bytes the line holds.
+func goldenValues(tb testing.TB, key string) [][]byte {
 	tb.Helper()
 	data, err := os.ReadFile("testdata/golden_equivalence.ndjson")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var results [][]byte
+	var values [][]byte
 	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-		var l struct {
-			Result json.RawMessage `json:"result"`
-		}
+		var l map[string]json.RawMessage
 		if err := json.Unmarshal(line, &l); err != nil {
 			tb.Fatal(err)
 		}
-		results = append(results, l.Result)
+		values = append(values, l[key])
 	}
-	if len(results) != 45 {
-		tb.Fatalf("the golden file holds %d results, want 45", len(results))
+	if len(values) != 45 {
+		tb.Fatalf("the golden file holds %d lines, want 45", len(values))
 	}
-	return results
+	return values
 }
 
 // TestGoldenResultsKeepTheirBytes: every result an engine sends
