@@ -3,6 +3,7 @@
 package e2e
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -292,7 +293,12 @@ func experiments(t *testing.T) {
 // through a coordinator whose workers load -trace-dir; /v1/workloads
 // lists the trace beside the presets; sdexp -experiment real_trace on
 // the registered sample prints the same bytes locally and through the
-// coordinator, and real_trace runs on the fleet.
+// coordinator, and real_trace runs on the fleet. The scenario and the
+// fleet's real_trace replay the sample at 3x its load, where SD makes
+// malleable starts (at the experiment's default 1.5x it makes none and
+// equals static backfill), so the byte diffs compare SD's decisions.
+// The sdexp -experiment real_trace diff stays at the default load:
+// sdexp passes no load factor.
 func traces(t *testing.T) {
 	e := newEnv(t)
 	digestOf := regexp.MustCompile(` as (trace:[0-9a-f]+) `)
@@ -303,7 +309,7 @@ func traces(t *testing.T) {
 		t.Fatalf("two registrations of the same bytes did not print one digest:\n%s%s", first, again)
 	}
 	digest := m[1]
-	derivs := `{"op":"scale_load","fraction":0,"factor":1.5},{"op":"malleable_fraction","fraction":0.3}`
+	derivs := `{"op":"scale_load","fraction":0,"factor":3},{"op":"malleable_fraction","fraction":0.3}`
 	pts := e.write("points.json", fmt.Sprintf(`[
  {"workload":%[1]q,"derivations":[%[2]s],"options":{"policy":"static"}},
  {"workload":%[1]q,"derivations":[%[2]s],"options":{"policy":"sd","max_slowdown":10}},
@@ -314,6 +320,17 @@ func traces(t *testing.T) {
 	baseline, _ := e.sdexp("baseline", append(local, "-cache-dir", cache)...)
 	if n := strings.Count(baseline, "\n"); n != 3 {
 		t.Fatalf("baseline has %d lines, want 3", n)
+	}
+	for i, line := range strings.Split(strings.TrimSpace(baseline), "\n")[1:] {
+		var l struct {
+			Result struct {
+				MalleableStarts int `json:"malleable_starts"`
+			} `json:"result"`
+		}
+		e.must(json.Unmarshal([]byte(line), &l))
+		if l.Result.MalleableStarts == 0 {
+			t.Fatalf("SD point %d made no malleable start: %s", i+1, line)
+		}
 	}
 	half1, _ := e.sdexp("shard1", append(local, "-shard", "1/2")...)
 	half2, _ := e.sdexp("shard2", append(local, "-shard", "2/2")...)
@@ -373,12 +390,12 @@ func traces(t *testing.T) {
 	realCoord, _ := e.sdexp("real-trace-coordinated", append(realTrace, "-server", coord)...)
 	same(t, "the coordinator's real_trace", realLocal, realCoord)
 
-	loc := e.create(coord+"/v1/experiments", "", fmt.Sprintf(`{"experiment":"real_trace","params":{"trace":%q}}`, digest))
+	loc := e.create(coord+"/v1/experiments", "", fmt.Sprintf(`{"experiment":"real_trace","params":{"trace":%q,"load_factor":3}}`, digest))
 	fs := e.frames(coord + loc)
 	if len(fs) == 0 {
 		t.Fatal("the real_trace stream is empty")
 	}
-	if end := fs[len(fs)-1]; !end.Done || end.Error != nil || end.Summary == nil || end.Summary.Static.Jobs != 100 {
-		t.Fatalf("real_trace ended with %+v, want done with a summary over 100 static jobs", end)
+	if end := fs[len(fs)-1]; !end.Done || end.Error != nil || end.Summary == nil || end.Summary.Static.Jobs != 100 || end.Summary.SD.MalleableStarts == 0 {
+		t.Fatalf("real_trace ended with %+v, want done with a summary over 100 static jobs and an SD run that made a malleable start", end)
 	}
 }

@@ -286,14 +286,19 @@ func (e *env) create(url, id, body string) string {
 
 // frame is the part of a stream frame the scenarios check.
 type frame struct {
-	Trace      bool                                 `json:"trace"`
-	CampaignID string                               `json:"campaign_id"`
-	Points     int                                  `json:"points"`
-	Shards     []json.RawMessage                    `json:"shards"`
-	Peers      []json.RawMessage                    `json:"peers"`
-	Done       bool                                 `json:"done"`
-	Error      any                                  `json:"error"`
-	Summary    *struct{ Static struct{ Jobs int } } `json:"summary"`
+	Trace      bool              `json:"trace"`
+	CampaignID string            `json:"campaign_id"`
+	Points     int               `json:"points"`
+	Shards     []json.RawMessage `json:"shards"`
+	Peers      []json.RawMessage `json:"peers"`
+	Done       bool              `json:"done"`
+	Error      any               `json:"error"`
+	Summary    *struct {
+		Static struct{ Jobs int }
+		SD     struct {
+			MalleableStarts int `json:"malleable_starts"`
+		}
+	} `json:"summary"`
 }
 
 // frames attaches to a resource's NDJSON stream from the first frame
