@@ -2,12 +2,10 @@ package serve
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -436,9 +434,19 @@ func (s *Server) recoverCampaign(id string) (cs *campaignState, remaining []int,
 	if err != nil {
 		return nil, nil, false, err
 	}
-	specs, wire, rec, err := readCreateRecord(recs[0].Data)
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("create record: %w", err)
+	// pointsObject wrote the record: its points read in one pass and
+	// keep their bytes, and its options are the object after them.
+	var rec struct {
+		Points []sdpolicy.PointSpec `json:"points"`
+		campaignOptions
+	}
+	specs, wire, rest, ok := sdpolicy.ReadPointsObject(recs[0].Data)
+	if !ok || json.Unmarshal(append([]byte("{"), bytes.TrimPrefix(rest, []byte(","))...), &rec.campaignOptions) != nil {
+		rec.campaignOptions, wire = campaignOptions{}, nil
+		if err := json.Unmarshal(recs[0].Data, &rec); err != nil {
+			return nil, nil, false, fmt.Errorf("create record: %w", err)
+		}
+		specs = rec.Points
 	}
 	points, err := sdpolicy.PointsFromSpecs(specs)
 	if err != nil {
@@ -496,6 +504,15 @@ func (s *Server) recoverCampaign(id string) (cs *campaignState, remaining []int,
 	return cs, remaining, true, nil
 }
 
+// createTails maps each ending json.Marshal gives a create body after
+// its list of points to the options it sets.
+var createTails = map[string]campaignOptions{
+	"}":                             {},
+	`,"reports":true}`:              {Reports: true},
+	`,"trace":true}`:                {Trace: true},
+	`,"reports":true,"trace":true}`: {Reports: true, Trace: true},
+}
+
 // handleCampaigns is the collection endpoint: POST creates a campaign
 // resource and starts it detached from the request.
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
@@ -507,18 +524,17 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errStandby)
 		return
 	}
-	if !acceptsJSON(w, r) {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	req, wire, ok := readCreateRequest(body)
-	if err != nil || !ok {
-		// The strict decoder reads the same bytes, then the error that
-		// ended the read, so it answers as it would reading the request.
-		wire = nil
-		if !decodeBody(w, &replayReader{body, cmp.Or(err, io.EOF)}, &req) {
-			return
+	var req CreateCampaignRequest
+	var wire [][]byte
+	if !s.decode(w, r, &req, func(body []byte) bool {
+		specs, points, rest, ok := sdpolicy.ReadPointsObject(body)
+		opts, tail := createTails[string(bytes.TrimRight(rest, " \t\r\n"))]
+		if ok && tail {
+			req, wire = CreateCampaignRequest{Points: specs, Reports: opts.Reports, Trace: opts.Trace}, points
 		}
+		return ok && tail
+	}) {
+		return
 	}
 	if len(req.Points) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("missing points"))
@@ -536,63 +552,6 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.create(w, cs, "/v1/campaigns", CreateCampaignResponse{ID: id})
-}
-
-// readCreateRequest reads a create body in one pass when it is what
-// json.Marshal writes for a CreateCampaignRequest, then optional
-// whitespace: the request and each point's encoding. ok is false, and
-// req empty, for any other body.
-func readCreateRequest(body []byte) (req CreateCampaignRequest, wire [][]byte, ok bool) {
-	specs, wire, rest, ok := sdpolicy.ReadPointsObject(body)
-	if !ok {
-		return req, nil, false
-	}
-	switch string(bytes.TrimRight(rest, " \t\r\n")) {
-	case "}":
-	case `,"reports":true}`:
-		req.Reports = true
-	case `,"trace":true}`:
-		req.Trace = true
-	case `,"reports":true,"trace":true}`:
-		req.Reports, req.Trace = true, true
-	default:
-		return CreateCampaignRequest{}, nil, false
-	}
-	req.Points = specs
-	return req, wire, true
-}
-
-// readCreateRecord reads a journaled create record, which pointsObject
-// wrote: its points in one pass, keeping their encodings, then the
-// options after them. Any other record is decoded by encoding/json,
-// and wire is nil.
-func readCreateRecord(data []byte) (specs []sdpolicy.PointSpec, wire [][]byte, opts campaignOptions, err error) {
-	specs, wire, rest, ok := sdpolicy.ReadPointsObject(data)
-	if ok && json.Unmarshal(append([]byte("{"), bytes.TrimPrefix(rest, []byte(","))...), &opts) == nil {
-		return specs, wire, opts, nil
-	}
-	var rec struct {
-		Points []sdpolicy.PointSpec `json:"points"`
-		campaignOptions
-	}
-	err = json.Unmarshal(data, &rec)
-	return rec.Points, nil, rec.campaignOptions, err
-}
-
-// replayReader reads back a body read whole: its bytes, then err, the
-// error that ended the read.
-type replayReader struct {
-	b   []byte
-	err error
-}
-
-func (r *replayReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, r.err
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // create is the one create path of campaign and experiment resources:

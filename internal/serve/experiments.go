@@ -116,7 +116,7 @@ func (s *Server) handleExperimentCreate(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var req CreateExperimentRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, &req, nil) {
 		return
 	}
 	if req.Experiment == "" {

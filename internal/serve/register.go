@@ -102,7 +102,7 @@ func (s *Server) decodeRegistration(w http.ResponseWriter, r *http.Request) (Reg
 		writeError(w, http.StatusServiceUnavailable, errStandby)
 		return req, false
 	}
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, &req, nil) {
 		return req, false
 	}
 	if req.URL == "" {

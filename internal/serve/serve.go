@@ -53,6 +53,8 @@
 package serve
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -228,7 +230,7 @@ type Health struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, &req, nil) {
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -280,19 +282,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // decode enforces POST + JSON and fills dst from a body that holds one
-// JSON value and nothing after it, replying on failure (acceptsJSON,
-// decodeBody).
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	return acceptsJSON(w, r) && decodeBody(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
-}
-
-// maxBodyBytes caps every request body.
-const maxBodyBytes = 1 << 20
-
-// acceptsJSON enforces POST + JSON, replying on failure. A missing
-// Content-Type is tolerated (historical clients omit it); a present
-// one must name JSON.
-func acceptsJSON(w http.ResponseWriter, r *http.Request) bool {
+// JSON value and nothing after it, replying on failure: 413 past the
+// 1 MiB cap, else 400. A missing Content-Type is tolerated (historical
+// clients omit it); a present one must name JSON. The body is read
+// whole first. If fast is not nil and fills dst from it, that is all;
+// otherwise the decoder reads the same bytes, then the error that ended
+// the read, so it answers as it would reading the request itself.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any, fast func(body []byte) bool) bool {
 	if r.Method != http.MethodPost {
 		writeMethodNotAllowed(w, http.MethodPost, "", errors.New("use POST"))
 		return false
@@ -305,17 +301,13 @@ func acceptsJSON(w http.ResponseWriter, r *http.Request) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// decodeBody fills dst from a body that holds one JSON value and
-// nothing after it, refusing unknown fields, and replies on failure:
-// 413 past the cap, else 400.
-func decodeBody(w http.ResponseWriter, body io.Reader, dst any) bool {
-	dec := json.NewDecoder(body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err == nil && fast != nil && fast(body) {
+		return true
+	}
+	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(body), failReader{cmp.Or(err, io.EOF)}))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(dst)
-	if err == nil {
+	if err = dec.Decode(dst); err == nil {
 		// Refuse trailing data (a second value, say) rather than act on
 		// the first value alone.
 		if _, err = dec.Token(); errors.Is(err, io.EOF) {
@@ -332,6 +324,11 @@ func decodeBody(w http.ResponseWriter, body io.Reader, dst any) bool {
 	writeError(w, status, fmt.Errorf("bad request body: %w", err))
 	return false
 }
+
+// failReader fails every read with err.
+type failReader struct{ err error }
+
+func (r failReader) Read([]byte) (int, error) { return 0, r.err }
 
 // acquire takes a simulation slot, waiting until one frees, the client
 // disconnects, or the server begins shutdown (a request still queueing

@@ -23,6 +23,10 @@ func ReadPointsObject(data []byte) (specs []PointSpec, wire [][]byte, rest []byt
 	if !s.lit(`{"points":[`) {
 		return nil, nil, nil, false
 	}
+	// No string the reader accepts holds a '"', so in a list it accepts
+	// this key starts every point and nothing else.
+	n := bytes.Count(s.b, []byte(`{"workload":`))
+	specs, wire = make([]PointSpec, 0, n), make([][]byte, 0, n)
 	for {
 		start := len(data) - len(s.b)
 		var p PointSpec
