@@ -524,15 +524,18 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errStandby)
 		return
 	}
+	// A body as json.Marshal writes it is read in one pass, and its
+	// points keep their bytes as their wire encodings.
 	var req CreateCampaignRequest
 	var wire [][]byte
 	if !s.decode(w, r, &req, func(body []byte) bool {
-		specs, points, rest, ok := sdpolicy.ReadPointsObject(body)
-		opts, tail := createTails[string(bytes.TrimRight(rest, " \t\r\n"))]
-		if ok && tail {
-			req, wire = CreateCampaignRequest{Points: specs, Reports: opts.Reports, Trace: opts.Trace}, points
+		specs, enc, rest, ok := sdpolicy.ReadPointsObject(body)
+		opts, canonical := createTails[string(bytes.TrimRight(rest, " \t\r\n"))]
+		if !ok || !canonical {
+			return false
 		}
-		return ok && tail
+		req, wire = CreateCampaignRequest{Points: specs, Reports: opts.Reports, Trace: opts.Trace}, enc
+		return true
 	}) {
 		return
 	}
