@@ -108,16 +108,10 @@ func (s *resultReader) derivation(d *Derivation) bool {
 // false, consuming nothing, when k does not come next.
 func (s *resultReader) key(k string, n *int) bool {
 	b := s.b
-	if *n > 0 {
-		if len(b) == 0 || b[0] != ',' {
-			return false
-		}
-		b = b[1:]
-	}
-	if len(b) < len(k) || string(b[:len(k)]) != k {
+	if *n > 0 && !s.lit(",") || !s.lit(k) {
+		s.b = b
 		return false
 	}
-	s.b = b[len(k):]
 	*n++
 	return true
 }
