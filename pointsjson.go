@@ -24,8 +24,10 @@ func ReadPointsObject(data []byte) (specs []PointSpec, wire [][]byte, rest []byt
 		return nil, nil, nil, false
 	}
 	// No string the reader accepts holds a '"', so in a list it accepts
-	// this key starts every point and nothing else.
-	n := bytes.Count(s.b, []byte(`{"workload":`))
+	// this key starts every point and nothing else. Each point takes at
+	// least len(minPoint) bytes, so no input sizes more points than
+	// the longest list it could hold.
+	n := min(bytes.Count(s.b, []byte(`{"workload":`)), len(s.b)/len(minPoint))
 	specs, wire = make([]PointSpec, 0, n), make([][]byte, 0, n)
 	for {
 		start := len(data) - len(s.b)
@@ -44,6 +46,9 @@ func ReadPointsObject(data []byte) (specs []PointSpec, wire [][]byte, rest []byt
 		}
 	}
 }
+
+// minPoint is the shortest point the reader accepts.
+const minPoint = `{"workload":"x","scale":1,"seed":1,"options":{}}`
 
 // point consumes one point as Point.MarshalJSON writes it.
 func (s *resultReader) point(p *PointSpec) bool {

@@ -78,6 +78,7 @@ func TestPointsTakeTheReadersPath(t *testing.T) {
 		}
 	}
 	checkReadersPath(t, "golden file", []byte(`{"points":[`+string(bytes.Join(golden, []byte(",")))+`]}`), golden)
+	checkReadersPath(t, "shortest point", []byte(`{"points":[`+minPoint+`]}`), [][]byte{[]byte(minPoint)})
 
 	info, err := RegisterTraceFile("testdata/sample.swf")
 	if err != nil {
