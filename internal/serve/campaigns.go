@@ -178,9 +178,8 @@ type campaignState struct {
 	w *journal.Writer
 }
 
-// newCampaignState builds a running campaign of points. wire holds
-// their encodings when they arrived as them (sdpolicy.ReadPointsObject);
-// nil encodes them now.
+// newCampaignState builds a running campaign of points. wire holds their
+// encodings as they arrived (readCreate), or is nil to encode them now.
 func newCampaignState(id string, points []sdpolicy.Point, wire [][]byte, reports, trace bool) (*campaignState, error) {
 	if wire == nil {
 		wire = make([][]byte, len(points))
@@ -434,25 +433,18 @@ func (s *Server) recoverCampaign(id string) (cs *campaignState, remaining []int,
 	if err != nil {
 		return nil, nil, false, err
 	}
-	// pointsObject wrote the record: its points read in one pass and
-	// keep their bytes, and its options are the object after them.
 	var rec struct {
 		Points []sdpolicy.PointSpec `json:"points"`
 		campaignOptions
 	}
-	specs, wire, rest, ok := sdpolicy.ReadPointsObject(recs[0].Data)
-	if !ok || json.Unmarshal(append([]byte("{"), bytes.TrimPrefix(rest, []byte(","))...), &rec.campaignOptions) != nil {
-		rec.campaignOptions, wire = campaignOptions{}, nil
-		if err := json.Unmarshal(recs[0].Data, &rec); err != nil {
-			return nil, nil, false, fmt.Errorf("create record: %w", err)
-		}
-		specs = rec.Points
+	if err := json.Unmarshal(recs[0].Data, &rec); err != nil {
+		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
-	points, err := sdpolicy.PointsFromSpecs(specs)
+	points, err := sdpolicy.PointsFromSpecs(rec.Points)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
-	if cs, err = newCampaignState(id, points, wire, rec.Reports, rec.Trace); err != nil {
+	if cs, err = newCampaignState(id, points, nil, rec.Reports, rec.Trace); err != nil {
 		return nil, nil, false, fmt.Errorf("create record: %w", err)
 	}
 	if rec.Experiment != "" {
@@ -513,6 +505,24 @@ var createTails = map[string]campaignOptions{
 	`,"reports":true,"trace":true}`: {Reports: true, Trace: true},
 }
 
+// readCreate reads a CreateCampaignRequest as json.Marshal writes it,
+// then optional whitespace, in one pass; its points keep their bytes as
+// their wire encodings. No tail holds a ']', so a body whose tail (what
+// follows its last ']') is not one is declined before its points are read.
+func readCreate(body []byte) (req CreateCampaignRequest, wire [][]byte, ok bool) {
+	body = bytes.TrimRight(body, " \t\r\n")
+	tail := body[bytes.LastIndexByte(body, ']')+1:]
+	opts, canonical := createTails[string(tail)]
+	if !canonical {
+		return req, nil, false
+	}
+	specs, wire, rest, ok := sdpolicy.ReadPointsObject(body)
+	if !ok || len(rest) != len(tail) {
+		return req, nil, false
+	}
+	return CreateCampaignRequest{Points: specs, Reports: opts.Reports, Trace: opts.Trace}, wire, true
+}
+
 // handleCampaigns is the collection endpoint: POST creates a campaign
 // resource and starts it detached from the request.
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
@@ -524,18 +534,11 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errStandby)
 		return
 	}
-	// A body as json.Marshal writes it is read in one pass, and its
-	// points keep their bytes as their wire encodings.
 	var req CreateCampaignRequest
 	var wire [][]byte
-	if !s.decode(w, r, &req, func(body []byte) bool {
-		specs, enc, rest, ok := sdpolicy.ReadPointsObject(body)
-		opts, canonical := createTails[string(bytes.TrimRight(rest, " \t\r\n"))]
-		if !ok || !canonical {
-			return false
-		}
-		req, wire = CreateCampaignRequest{Points: specs, Reports: opts.Reports, Trace: opts.Trace}, enc
-		return true
+	if !s.decode(w, r, &req, func(body []byte) (ok bool) {
+		req, wire, ok = readCreate(body)
+		return ok
 	}) {
 		return
 	}

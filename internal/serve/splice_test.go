@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -163,6 +164,71 @@ func TestSplicedFramesMatchMarshal(t *testing.T) {
 			t.Fatalf("%d of %d result frames read line by line", frames.lines, len(points))
 		}
 	})
+}
+
+// TestCreateBodiesTakeTheReadersPath: every create body the system
+// writes itself, json.Marshal of a CreateCampaignRequest and the body
+// pointsObject splices for sdexp -server and a coordinator's shards,
+// is read in one pass, to the request the strict decoder reads from
+// it, with its points' wire encodings kept. A typo in createTails or a
+// request field json.Marshal writes and the reader does not follow
+// fails here instead of sending every create back to the decoder. Any
+// other tail is declined.
+func TestCreateBodiesTakeTheReadersPath(t *testing.T) {
+	var golden CreateCampaignRequest
+	if err := json.Unmarshal([]byte(goldenCampaignBody(t)), &golden); err != nil {
+		t.Fatal(err)
+	}
+	points, err := sdpolicy.PointsFromSpecs(golden.Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, specs := make([][]byte, len(points)), make([]sdpolicy.PointSpec, len(points))
+	for i, p := range points {
+		if wire[i], err = p.MarshalJSON(); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(wire[i], &specs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opts := range []campaignOptions{{}, {Reports: true}, {Trace: true}, {Reports: true, Trace: true}} {
+		marshalled, err := json.Marshal(CreateCampaignRequest{Points: specs, Reports: opts.Reports, Trace: opts.Trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spliced, err := pointsObject(wire, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range [][]byte{marshalled, spliced, append(spliced, '\n')} {
+			var want CreateCampaignRequest
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&want); err != nil {
+				t.Fatal(err)
+			}
+			req, got, ok := readCreate(body)
+			if !ok {
+				t.Fatalf("the reader declines %s", body)
+			}
+			if !reflect.DeepEqual(req, want) {
+				t.Fatalf("the reader read %+v, the decoder %+v", req, want)
+			}
+			for i := range wire {
+				if !bytes.Equal(got[i], wire[i]) {
+					t.Fatalf("point %d keeps %s, want %s", i, got[i], wire[i])
+				}
+			}
+		}
+	}
+	for _, tail := range []string{`,"reports":false}`, `,"trace":true,"reports":true}`, `, "trace":true}`,
+		`,"experiment":"sweep_maxsd"}`, `,"params":[]}`, `}{}`, `]}`} {
+		body := `{"points":[` + string(wire[0]) + `]` + tail
+		if _, _, ok := readCreate([]byte(body)); ok {
+			t.Errorf("the reader accepts %s", body)
+		}
+	}
 }
 
 // TestCoordinatorCompactsRelayedReports: a journaled coordinator relays
