@@ -54,7 +54,6 @@ package serve
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -284,10 +283,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // decode enforces POST + JSON and fills dst from a body that holds one
 // JSON value and nothing after it, replying on failure: 413 past the
 // 1 MiB cap, else 400. A missing Content-Type is tolerated (historical
-// clients omit it); a present one must name JSON. The body is read
-// whole first. If fast is not nil and fills dst from it, that is all;
-// otherwise the decoder reads the same bytes, then the error that ended
-// the read, so it answers as it would reading the request itself.
+// clients omit it); a present one must name JSON. Given fast, the body
+// is read whole first, and if fast fills dst from it that is all; else
+// the decoder reads the same bytes, then the error that ended the read
+// (the limited reader repeats it).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any, fast func(body []byte) bool) bool {
 	if r.Method != http.MethodPost {
 		writeMethodNotAllowed(w, http.MethodPost, "", errors.New("use POST"))
@@ -301,13 +300,18 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any, fast fu
 			return false
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err == nil && fast != nil && fast(body) {
-		return true
+	var body io.Reader = http.MaxBytesReader(w, r.Body, 1<<20)
+	if fast != nil {
+		b, err := io.ReadAll(body)
+		if err == nil && fast(b) {
+			return true
+		}
+		body = io.MultiReader(bytes.NewReader(b), body)
 	}
-	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(body), failReader{cmp.Or(err, io.EOF)}))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err = dec.Decode(dst); err == nil {
+	err := dec.Decode(dst)
+	if err == nil {
 		// Refuse trailing data (a second value, say) rather than act on
 		// the first value alone.
 		if _, err = dec.Token(); errors.Is(err, io.EOF) {
@@ -324,11 +328,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any, fast fu
 	writeError(w, status, fmt.Errorf("bad request body: %w", err))
 	return false
 }
-
-// failReader fails every read with err.
-type failReader struct{ err error }
-
-func (r failReader) Read([]byte) (int, error) { return 0, r.err }
 
 // acquire takes a simulation slot, waiting until one frees, the client
 // disconnects, or the server begins shutdown (a request still queueing
