@@ -7,10 +7,12 @@
 // numbers of the equivalent point. -swf registers an SWF trace as
 // trace:<digest>; the machine comes from the trace's header comments.
 //
-// Beside the event and pass counts, sdsim prints the wall time of the
-// simulation alone, workload generation excluded, and the sha256 of the
-// per-job results' JSON, the digest TestDecisionDigests pins: equal
-// digests mean the same scheduling decisions.
+// Beside the event and pass counts, sdsim prints how many mate
+// selections the passes asked for and how many of them a remembered
+// failure answered, the wall time of the simulation alone, workload
+// generation excluded, and the sha256 of the per-job results' JSON, the
+// digest TestDecisionDigests pins: equal digests mean the same
+// scheduling decisions.
 //
 // Examples:
 //
@@ -159,7 +161,8 @@ func printResult(w io.Writer, spec *workload.Spec, res *sched.Result, wall time.
 		res.MalleableStarts, 100*float64(res.MalleableStarts)/float64(len(spec.Jobs)),
 		res.Mates, 100*float64(res.Mates)/float64(len(spec.Jobs)))
 	fmt.Fprintf(w, "drom          %d registered, %d mask sets\n", res.DROM.Registered, res.DROM.MaskSets)
-	fmt.Fprintf(w, "sim           %d events, %d passes in %.3f s\n", res.Events, res.Passes, wall.Seconds())
+	fmt.Fprintf(w, "sim           %d events, %d passes (selections %d, memo hits %d) in %.3f s\n",
+		res.Events, res.Passes, res.Selections, res.MemoHits, wall.Seconds())
 	fmt.Fprintf(w, "digest        %x\n", digest)
 	if !verbose {
 		return

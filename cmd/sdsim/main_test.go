@@ -10,11 +10,14 @@ import (
 	"testing"
 
 	"sdpolicy"
+	"sdpolicy/internal/sched"
+	"sdpolicy/internal/workload"
 )
 
 // TestRunMatchesEnginePoint: sdsim prints the numbers of the campaign
-// point its flags spell, run through sdpolicy.Engine, and the digest of
-// that point's per-job results.
+// point its flags spell, run through sdpolicy.Engine, the digest of
+// that point's per-job results, and the event, pass, selection and memo
+// hit counts of the point's workload and options run through sched.Run.
 func TestRunMatchesEnginePoint(t *testing.T) {
 	info, err := sdpolicy.RegisterTraceFile("../../testdata/sample.swf")
 	if err != nil {
@@ -49,6 +52,19 @@ func TestRunMatchesEnginePoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			p := points[0]
+			w, err := workload.Shared.Get(p.Workload, p.Scale, p.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := p.Options.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := sched.Run(*w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			report, err := res.ReportJSON()
 			if err != nil {
 				t.Fatal(err)
@@ -64,6 +80,8 @@ func TestRunMatchesEnginePoint(t *testing.T) {
 				fmt.Sprintf("avg slowdown  %.1f\n", res.AvgSlowdown),
 				fmt.Sprintf("energy        %.1f kWh\n", res.EnergyKWh),
 				fmt.Sprintf("malleable     %d starts", res.MalleableStarts),
+				fmt.Sprintf("sim           %d events, %d passes (selections %d, memo hits %d) in ",
+					direct.Events, direct.Passes, direct.Selections, direct.MemoHits),
 				fmt.Sprintf("digest        %x\n", sha256.Sum256(rep.Results)),
 			} {
 				if !strings.Contains(out.String(), want) {

@@ -34,10 +34,10 @@ func midSim(b testing.TB, cfg Config) *Scheduler {
 }
 
 // TestPassComponentsAllocateNothing: the profile build, the dynamic
-// cut-off and the whole pass run on scheduler-owned scratch, so once
-// warm each allocates nothing over the frozen mid-trace state of the
-// benchmarks below. An allocation here would enter every scheduling
-// pass.
+// cut-off, a mate selection (answered by the memo, and scanned) and the
+// whole pass run on scheduler-owned scratch, so once warm each
+// allocates nothing over the frozen mid-trace state of the benchmarks
+// below. An allocation here would enter every scheduling pass.
 func TestPassComponentsAllocateNothing(t *testing.T) {
 	profile := midSim(t, sdConfig())
 	cfg := sdConfig()
@@ -45,17 +45,39 @@ func TestPassComponentsAllocateNothing(t *testing.T) {
 	cutoff := midSim(t, cfg)
 	cfg.Cutoff = CutoffDynAvg
 	pass := midSim(t, cfg)
+	// A queued job whose selection scans candidates and fails without
+	// truncating them, so the memo remembers the failure.
+	now := profile.eng.Now()
+	var guest *rjob
+	for _, r := range profile.queue {
+		r.failed = false
+		if r.mallRun != 0 && profile.selectMates(r, now) == nil && r.failed &&
+			len(profile.search.cands) > 0 {
+			guest = r
+			break
+		}
+	}
+	if guest == nil {
+		t.Fatal("no queued job fails a selection over candidates")
+	}
+	hits := profile.memoHits
 	for _, c := range []struct {
 		name string
 		run  func()
 	}{
-		{"buildProfile", func() { profile.buildProfile(profile.eng.Now()) }},
+		{"buildProfile", func() { profile.buildProfile(now) }},
 		{"dynamicCutoff (P70)", func() { cutoff.dynamicCutoff(cutoff.eng.Now()) }},
+		{"selectMates (memo hit)", func() { profile.selectMates(guest, now) }},
+		{"selectMates (scan)", func() { guest.failed = false; profile.selectMates(guest, now) }},
 		{"pass (DynAvg)", pass.pass},
 	} {
 		if allocs := testing.AllocsPerRun(20, c.run); allocs != 0 {
 			t.Errorf("%s: %v allocations per run, want 0", c.name, allocs)
 		}
+	}
+	// AllocsPerRun makes one warm-up call and 20 measured calls.
+	if got := profile.memoHits - hits; got != 21 {
+		t.Errorf("%d memo hits, want the 21 calls of the hit case", got)
 	}
 }
 

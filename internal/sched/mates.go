@@ -39,10 +39,9 @@ func candLess(a, b candidate) bool {
 
 // penalty evaluates Eq. 4 for a prospective mate: the predicted slowdown
 // (wait + increase + req_time)/req_time after committing to host the
-// guest until guestEnd. keepRate is the shrunk owner's rate, hoisted by
-// the caller (it is constant across candidates of one selection).
-func penalty(m *rjob, now, guestEnd int64, keepRate float64) float64 {
-	newInc := model.MateIncrease(guestEnd-now, keepRate)
+// guest. newInc is the increase hosting it adds, hoisted by the caller
+// (it is the same for every candidate of one selection).
+func penalty(m *rjob, newInc float64) float64 {
 	wait := float64(m.start - m.j.Submit)
 	req := float64(m.j.ReqTime)
 	return (wait + m.increase + newInc + req) / req
@@ -68,14 +67,19 @@ func (s *Scheduler) poolable(m *rjob) bool {
 }
 
 // syncPool re-checks m's pool membership after a field poolable reads
-// changed.
+// changed. Leaving m in the pool, new or re-synced, starts a new pool
+// generation: its end or its penalty may have moved.
 func (s *Scheduler) syncPool(m *rjob) {
 	in := m.poolIdx >= 0
-	if want := s.poolable(m); want && !in {
+	want := s.poolable(m)
+	if want && !in {
 		m.poolIdx = len(s.pool)
 		s.pool = append(s.pool, m)
 	} else if !want && in {
 		s.dropPool(m)
+	}
+	if want {
+		s.poolGen++
 	}
 }
 
@@ -169,14 +173,28 @@ func (ms *mateSearch) dfs(start, needed int, pen float64) {
 	}
 }
 
-// selectMates implements Listing 2's pick_mates: filter and sort the
-// pool of shrinkable running jobs by penalty, then search combinations
-// of at most MaxMates mates whose node counts sum to the request
-// (constraint 3), each below the MAX_SLOWDOWN cut-off (constraint 2),
-// minimising the Performance Impact (Eq. 1). Returns nil when no
-// feasible combination exists. The returned selection is
-// scheduler-owned scratch, valid until the next call.
-func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
+// selectMates implements Listing 2's pick_mates for a guest r that
+// would start now and run r.mallRun: filter and sort the pool of
+// shrinkable running jobs by penalty, then search combinations of at
+// most MaxMates mates whose node counts sum to the request (constraint
+// 3), each below the MAX_SLOWDOWN cut-off (constraint 2), minimising
+// the Performance Impact (Eq. 1). Returns nil when no feasible
+// combination exists. The returned selection is scheduler-owned
+// scratch, valid until the next call.
+//
+// A failure is remembered on r, and a later selection for r fails
+// without scanning while the pool generation is the same and neither
+// the cut-off in force nor the free nodes it could mix in are higher.
+// That is exact: with no pool member added or re-synced the pool has
+// only shrunk, and each member's penalty is fixed (its wait, committed
+// increase and request are, and newInc is fixed per guest). With ends
+// pinned, a member's end reaching now+mallRun only gets harder as now
+// grows. A lower cut-off or fewer free nodes only remove options, and
+// the search below with no incumbent is a complete feasibility search.
+// A failure that dropped an eligible candidate at CandidateCap is not
+// remembered: that candidate may make the cut once others leave.
+func (s *Scheduler) selectMates(r *rjob, now int64) *mateSelection {
+	s.selections++
 	W := r.j.ReqNodes
 	maxSD := s.maxSD
 	if s.cfg.Cutoff == CutoffStatic {
@@ -184,16 +202,27 @@ func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 			maxSD = qsd // per-queue QoS cut-off (§4.1)
 		}
 	}
+	freeAvail := 0
+	if s.cfg.IncludeFreeNodes {
+		freeAvail = s.cl.FreeNodesWith(r.j.Features)
+	}
+	if r.failed && r.failGen == s.poolGen && maxSD <= r.failSD && freeAvail <= r.failFree {
+		s.memoHits++
+		return nil
+	}
+	guestEnd := now + r.mallRun
 	keepRate := float64(s.mgr.OwnerKeepCores()) / float64(s.cl.Config().CoresPerNode())
 	if s.cfg.Policy == Oversubscribe {
 		keepRate *= 1 - s.cfg.OversubPenalty
 	}
+	newInc := model.MateIncrease(r.mallRun, keepRate)
 	// Stream the eligible mates straight into a bounded, sorted
 	// candidate list: only the CandidateCap lowest penalties matter, so
 	// a pool member worse than the current cut costs one comparison
 	// instead of a slot in a full sort.
 	nm := s.cfg.CandidateCap
 	cands := s.search.cands[:0]
+	truncated := false
 	for i, m := range s.pool {
 		if len(m.nodes) > W {
 			continue // a mate shrinks on all its nodes; larger mates overshoot
@@ -201,12 +230,13 @@ func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 		if !s.eligibleMate(m, r, now, guestEnd) {
 			continue
 		}
-		p := penalty(m, now, guestEnd, keepRate)
+		p := penalty(m, newInc)
 		if p >= maxSD {
 			continue // Eq. 2 cut-off
 		}
 		c := candidate{p: p, id: m.j.ID, width: len(m.nodes), idx: i}
 		if len(cands) == nm && !candLess(c, cands[nm-1]) {
+			truncated = true
 			continue
 		}
 		lo, hi := 0, len(cands)
@@ -220,22 +250,32 @@ func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 		}
 		if len(cands) < nm {
 			cands = append(cands, candidate{})
+		} else {
+			truncated = true // the last candidate drops out
 		}
 		copy(cands[lo+1:], cands[lo:])
 		cands[lo] = c
 	}
 	s.search.cands = cands
-	if len(cands) == 0 {
+	if len(cands) == 0 || !s.search.feasible(W, freeAvail, s.cfg.MaxMates) {
+		if !truncated {
+			r.failed, r.failGen, r.failSD, r.failFree = true, s.poolGen, maxSD, freeAvail
+		}
 		return nil
 	}
-
-	freeAvail := 0
-	if s.cfg.IncludeFreeNodes {
-		freeAvail = s.cl.FreeNodesWith(r.j.Features)
+	mates := s.selBuf.mates[:0]
+	for _, i := range s.search.bestMates {
+		mates = append(mates, s.pool[i])
 	}
+	s.selBuf = mateSelection{mates: mates, freeNodes: s.search.bestFree, penalty: s.search.bestPen}
+	return &s.selBuf
+}
 
-	ms := &s.search
-	ms.cands = cands
+// feasible runs the combination search over the sorted candidates for
+// a request of W nodes and reports whether it found a selection, left
+// in bestMates, bestFree and bestPen.
+func (ms *mateSearch) feasible(W, freeAvail, maxMates int) bool {
+	cands := ms.cands
 	if cap(ms.sufWidth) < len(cands) {
 		ms.sufWidth = make([]int, len(cands))
 	}
@@ -248,19 +288,11 @@ func (s *Scheduler) selectMates(r *rjob, now, guestEnd int64) *mateSelection {
 		ms.sufWidth[i] = w
 	}
 	ms.freeAvail = freeAvail
-	ms.maxMates = s.cfg.MaxMates
+	ms.maxMates = maxMates
 	ms.cur = ms.cur[:0]
 	ms.bestMates = ms.bestMates[:0]
 	ms.bestFree = 0
 	ms.bestPen = math.Inf(1)
 	ms.dfs(0, W, 0)
-	if math.IsInf(ms.bestPen, 1) {
-		return nil
-	}
-	mates := s.selBuf.mates[:0]
-	for _, i := range ms.bestMates {
-		mates = append(mates, s.pool[i])
-	}
-	s.selBuf = mateSelection{mates: mates, freeNodes: ms.bestFree, penalty: ms.bestPen}
-	return &s.selBuf
+	return !math.IsInf(ms.bestPen, 1)
 }

@@ -30,6 +30,10 @@ type Result struct {
 	Mates           int
 	Passes          uint64
 	Events          uint64
+	// Selections counts the mate selections the passes asked for, and
+	// MemoHits those a remembered failure answered without a scan.
+	Selections uint64
+	MemoHits   uint64
 }
 
 // Run simulates the workload under the configuration and returns the
@@ -98,5 +102,7 @@ func RunContext(ctx context.Context, spec workload.Spec, cfg Config) (*Result, e
 		Mates:           rep.Mates(),
 		Passes:          s.passes,
 		Events:          eng.Processed(),
+		Selections:      s.selections,
+		MemoHits:        s.memoHits,
 	}, nil
 }

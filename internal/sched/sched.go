@@ -47,6 +47,17 @@ type rjob struct {
 	// Eq. 4 penalties.
 	increase float64
 	speedup  model.SpeedupFn // per-app curve, only under model.App
+	// mallRun is the predicted run time as a guest on the cores a shrunk
+	// mate cedes, fixed when the job is queued; 0 when it cannot run as
+	// one.
+	mallRun int64
+	// The last failed mate selection for this job, when remembered: the
+	// pool generation, the cut-off in force and the free nodes it could
+	// mix in (see selectMates).
+	failed   bool
+	failGen  uint64
+	failSD   float64
+	failFree int
 }
 
 // predEndAt returns the predicted completion time read at now: the
@@ -73,7 +84,11 @@ type Scheduler struct {
 	// independent half of the mate-eligibility check: the only jobs a
 	// mate selection can pick. Swap-removal like runList; selectMates
 	// does not depend on its order (candLess is a strict total order).
-	pool    []*rjob
+	pool []*rjob
+	// poolGen counts the syncPool calls that leave their job in the
+	// pool. While it holds still the pool has only lost members, and
+	// each member's penalty and pinned end are as they were.
+	poolGen uint64
 	results []metrics.JobResult
 	meter   *energy.Meter
 
@@ -87,8 +102,9 @@ type Scheduler struct {
 	deferred []*rjob
 
 	// counters
-	mallStarts int
 	passes     uint64
+	selections uint64 // mate selections asked for
+	memoHits   uint64 // of them, answered by a remembered failure
 
 	// Node releases, kept up to date by begin, finish and setRates.
 	// res lists each node's residents: an owner and at most one guest,
@@ -152,7 +168,7 @@ func (s *Scheduler) Submit(j *job.Job) error {
 			j.ID, j.Features, j.ReqNodes, n)
 	}
 	s.eng.Schedule(j.Submit, sim.PriSubmit, func() {
-		r := &rjob{j: j, poolIdx: -1}
+		r := &rjob{j: j, poolIdx: -1, mallRun: s.guestRun(j)}
 		if s.cfg.RuntimeModel == model.App {
 			if s.cfg.Speedups != nil {
 				r.speedup = s.cfg.Speedups(j.App)
@@ -251,9 +267,6 @@ func (s *Scheduler) begin(r *rjob, malleable bool) {
 	s.running[r.j.ID] = r
 	r.runIdx = len(s.runList)
 	s.runList = append(s.runList, r)
-	if malleable {
-		s.mallStarts++
-	}
 	s.meter.Update(now, s.cl.UsedCores())
 	s.obsStarted(r, malleable)
 }
@@ -422,52 +435,48 @@ func (s *Scheduler) startStatic(r *rjob, prof *profile) {
 }
 
 // guestRun returns the job's predicted run time as a guest on the
-// cores a shrunk mate cedes; ok is false when it cannot run as one.
-func (s *Scheduler) guestRun(r *rjob) (run int64, ok bool) {
+// cores a shrunk mate cedes, or 0 when it cannot run as one. It reads
+// only the job and the configuration.
+func (s *Scheduler) guestRun(j *job.Job) int64 {
 	full := s.cl.Config().CoresPerNode()
 	guestCores := s.mgr.GuestCores()
-	if guestCores < r.j.TasksPerNode {
-		return 0, false // cannot satisfy one core per task
+	if guestCores < j.TasksPerNode {
+		return 0 // cannot satisfy one core per task
 	}
 	guestRate := model.UniformRate(model.WorstCase, guestCores, full, nil)
 	if s.cfg.Policy == Oversubscribe {
 		guestRate *= 1 - s.cfg.OversubPenalty
 	}
-	inc := model.Increase(r.j.ReqTime, guestRate)
+	inc := model.Increase(j.ReqTime, guestRate)
 	if math.IsInf(inc, 1) {
-		return 0, false
+		return 0
 	}
-	return r.j.ReqTime + int64(math.Ceil(inc)), true
+	return j.ReqTime + int64(math.Ceil(inc))
 }
 
 // tryMalleable is the malleable branch of Listing 1. est is the
 // predicted static start from the reservation map. It reports whether
 // the job was started.
 func (s *Scheduler) tryMalleable(r *rjob, est int64, prof *profile) bool {
-	mallRun, ok := s.guestRun(r)
-	if !ok {
+	if r.mallRun == 0 {
 		return false
 	}
 	now := prof.now
-	if est+r.j.ReqTime <= now+mallRun {
+	if est+r.j.ReqTime <= now+r.mallRun {
 		return false // waiting for a static start is predicted better
 	}
-	sel := s.selectMates(r, now, now+mallRun)
+	sel := s.selectMates(r, now)
 	if sel == nil {
 		return false
 	}
-	s.startMalleable(r, sel, mallRun, prof)
+	s.startMalleable(r, sel, prof)
 	return true
 }
 
 // hasMates reports whether a malleable trial of the job would find
 // mates now, whatever its estimate.
 func (s *Scheduler) hasMates(r *rjob, now int64) bool {
-	if !s.coSchedulable(r) {
-		return false
-	}
-	mallRun, ok := s.guestRun(r)
-	return ok && s.selectMates(r, now, now+mallRun) != nil
+	return s.coSchedulable(r) && r.mallRun != 0 && s.selectMates(r, now) != nil
 }
 
 // replayDeferred gives the deferred jobs, in queue order, the
@@ -487,7 +496,7 @@ func (s *Scheduler) replayDeferred(prof *profile) {
 // startMalleable shrinks the selected mates and starts the guest on
 // their ceded cores (plus any free nodes mixed in, which the profile
 // then shows busy until the guest's predicted end).
-func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64, prof *profile) {
+func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, prof *profile) {
 	mates := s.matesBuf[:0]
 	for _, m := range sel.mates {
 		mates = append(mates, nodemgr.Mate{ID: m.j.ID, Nodes: m.nodes})
@@ -520,7 +529,7 @@ func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64, p
 	for _, m := range sel.mates {
 		m.guest = r
 		m.everMate = true
-		m.increase += model.MateIncrease(mallRun, keepRate)
+		m.increase += model.MateIncrease(r.mallRun, keepRate)
 		r.hosts = append(r.hosts, m)
 	}
 	s.begin(r, true)
@@ -530,7 +539,7 @@ func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, mallRun int64, p
 		s.obsReconfigured(m)
 	}
 	if sel.freeNodes > 0 {
-		prof.reserve(prof.now, prof.now+mallRun, sel.freeNodes)
+		prof.reserve(prof.now, prof.now+r.mallRun, sel.freeNodes)
 	}
 }
 

@@ -204,9 +204,9 @@ func (c *coordinator) run(ctx context.Context, points []sdpolicy.Point, wire [][
 		return err
 	}
 	var queue []shardJob
-	for _, s := range shards {
-		if len(s.Positions) != 0 {
-			queue = append(queue, shardJob{positions: s.Positions})
+	for _, positions := range shards {
+		if len(positions) != 0 {
+			queue = append(queue, shardJob{positions: positions})
 		}
 	}
 	mShardsQueued.Add(uint64(len(queue)))

@@ -33,17 +33,10 @@ type CampaignShard struct {
 // a shard plan over invalid points would fail only on whichever worker
 // drew them, which is the wrong place to discover a typo.
 func PlanShards(points []Point, n int) ([]CampaignShard, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sdpolicy: planning %d shards: %w", n, ErrBadInput)
+	plan, err := planKeys(points, n)
+	if err != nil {
+		return nil, err
 	}
-	keys := make([]Point, len(points))
-	for i, p := range points {
-		if err := p.validate(); err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
-		}
-		keys[i] = p.canonical()
-	}
-	plan := campaign.Plan(keys, n)
 	shards := make([]CampaignShard, len(plan))
 	for i, s := range plan {
 		cs := CampaignShard{Index: s.Index, Of: s.Of, Positions: s.Positions}
@@ -56,6 +49,22 @@ func PlanShards(points []Point, n int) ([]CampaignShard, error) {
 	return shards, nil
 }
 
+// planKeys validates the points and plans n shards over their
+// canonical keys.
+func planKeys(points []Point, n int) ([]campaign.Shard[Point], error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("sdpolicy: planning %d shards: %w", n, ErrBadInput)
+	}
+	keys := make([]Point, len(points))
+	for i, p := range points {
+		if err := p.validate(); err != nil {
+			return nil, fmt.Errorf("point %d: %w", i, err)
+		}
+		keys[i] = p.canonical()
+	}
+	return campaign.Plan(keys, n), nil
+}
+
 // DefaultShardsPerWorker is the shard-granularity factor PlanFleetShards
 // applies when the caller passes perWorker <= 0: four shards per worker
 // keeps the hand-out queue deep enough that heterogeneous-speed workers
@@ -65,20 +74,30 @@ const DefaultShardsPerWorker = 4
 
 // PlanFleetShards plans a campaign for a fleet of `fleet` workers at a
 // granularity of perWorker shards each (DefaultShardsPerWorker when
-// <= 0). Finer-than-fleet shards are what make elastic fleets rebalance:
-// handed out work-stealing style, a fast worker simply takes more of
-// them, and a worker that joins mid-campaign steals from the remaining
-// queue instead of waiting for the next campaign. The merged output is
-// byte-identical to a single-process run regardless of fleet size or
-// granularity — shard assignment only moves work, never changes it.
-func PlanFleetShards(points []Point, fleet, perWorker int) ([]CampaignShard, error) {
+// <= 0) and returns each shard's original-list positions, ascending, as
+// PlanShards would plan them. Finer-than-fleet shards are what make
+// elastic fleets rebalance: handed out work-stealing style, a fast
+// worker simply takes more of them, and a worker that joins
+// mid-campaign steals from the remaining queue instead of waiting for
+// the next campaign. The merged output is byte-identical to a
+// single-process run regardless of fleet size or granularity — shard
+// assignment only moves work, never changes it.
+func PlanFleetShards(points []Point, fleet, perWorker int) ([][]int, error) {
 	if fleet <= 0 {
 		return nil, fmt.Errorf("sdpolicy: planning shards for a fleet of %d workers: %w", fleet, ErrBadInput)
 	}
 	if perWorker <= 0 {
 		perWorker = DefaultShardsPerWorker
 	}
-	return PlanShards(points, fleet*perWorker)
+	plan, err := planKeys(points, fleet*perWorker)
+	if err != nil {
+		return nil, err
+	}
+	positions := make([][]int, len(plan))
+	for i, s := range plan {
+		positions[i] = s.Positions
+	}
+	return positions, nil
 }
 
 // MergeShardResults reassembles per-shard campaign results into the

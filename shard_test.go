@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -129,7 +130,8 @@ func TestCampaignShardWireRoundTrip(t *testing.T) {
 }
 
 // TestPlanFleetShards: fleet planning multiplies granularity per
-// worker (defaulting when unset), keeps full positional coverage, and
+// worker (defaulting when unset), returns the positions PlanShards
+// plans at that granularity, keeps full positional coverage, and
 // rejects an empty fleet.
 func TestPlanFleetShards(t *testing.T) {
 	points := shardTestPoints()
@@ -140,12 +142,16 @@ func TestPlanFleetShards(t *testing.T) {
 	if len(shards) != 6 {
 		t.Fatalf("%d shards for fleet 3 × 2/worker, want 6", len(shards))
 	}
+	planned, err := PlanShards(points, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	covered := make([]bool, len(points))
-	for _, s := range shards {
-		if s.Of != 6 {
-			t.Fatalf("shard %d declares plan size %d, want 6", s.Index, s.Of)
+	for i, positions := range shards {
+		if !slices.Equal(positions, planned[i].Positions) {
+			t.Fatalf("shard %d positions %v, PlanShards plans %v", i, positions, planned[i].Positions)
 		}
-		for _, pos := range s.Positions {
+		for _, pos := range positions {
 			if covered[pos] {
 				t.Fatalf("position %d planned twice", pos)
 			}
