@@ -9,11 +9,13 @@ import (
 
 // mateSelection is the solution of the resource selection problem
 // (Section 3.2): the mates that shrink, how many free nodes are mixed in
-// (IncludeFreeNodes option), and the total Performance Impact.
+// (IncludeFreeNodes option), the total Performance Impact, and the
+// increase hosting the guest adds to each mate.
 type mateSelection struct {
 	mates     []*rjob
 	freeNodes int
 	penalty   float64 // PI = sum of mate penalties (Eq. 1)
+	increase  float64
 }
 
 // candidate is a mate with its Eq. 4 penalty, its node count and its
@@ -267,7 +269,7 @@ func (s *Scheduler) selectMates(r *rjob, now int64) *mateSelection {
 	for _, i := range s.search.bestMates {
 		mates = append(mates, s.pool[i])
 	}
-	s.selBuf = mateSelection{mates: mates, freeNodes: s.search.bestFree, penalty: s.search.bestPen}
+	s.selBuf = mateSelection{mates: mates, freeNodes: s.search.bestFree, penalty: s.search.bestPen, increase: newInc}
 	return &s.selBuf
 }
 

@@ -522,14 +522,10 @@ func (s *Scheduler) startMalleable(r *rjob, sel *mateSelection, prof *profile) {
 
 	// update_stats of Listing 1: commit the mates' predicted increases
 	// and link roles.
-	keepRate := float64(s.mgr.OwnerKeepCores()) / float64(s.cl.Config().CoresPerNode())
-	if s.cfg.Policy == Oversubscribe {
-		keepRate *= 1 - s.cfg.OversubPenalty
-	}
 	for _, m := range sel.mates {
 		m.guest = r
 		m.everMate = true
-		m.increase += model.MateIncrease(r.mallRun, keepRate)
+		m.increase += sel.increase
 		r.hosts = append(r.hosts, m)
 	}
 	s.begin(r, true)
